@@ -6,12 +6,13 @@
 
 Builds perfbench/ (which compiles the simulator from ../src) into
 .bench_build/perfbench, then runs whole passes of the workload -- each in a
-fresh process, one after another on one core -- until S seconds have been
-measured, and prints the medians. --trace 0 reports the end-to-end metrics
-from untraced passes. --trace 1 alternates untraced and traced passes and
-reports the per-layer metrics. The last line of standard output is one JSON
-object: {"correct", "attempted", "failed", "metrics"}; the lines before it
-record the host, the exact command and the output digests.
+fresh process, one after another on one core -- for about S seconds, and
+prints the medians. --trace 0 reports the end-to-end metrics from untraced
+passes, which take turns over four traces derived from N. --trace 1
+alternates untraced and traced passes of the trace of N itself and reports
+the per-layer metrics. The last line of standard output is one JSON object:
+{"correct", "attempted", "failed", "metrics"}; the lines before it record the
+host, the exact command and the output digests.
 
 --self-test feeds every correctness check a corrupted copy of a real pass's
 outputs and exits non-zero unless each check counts it as failed.
@@ -34,15 +35,23 @@ ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 
 # Metric names and units, and the benchmarked workloads, come from
-# BENCHMARK.json. year365_faults is runnable too but not benchmarked: its cost
-# follows a seed-dependent fault-restart pathology (see README.md), so its
-# spread across seeds cannot meet any bound.
+# BENCHMARK.json. paper75, year365 and year365_faults are runnable too but
+# not benchmarked (see README.md): the run budget holds two workloads at
+# 55-second runs, and year365_faults' cost follows a seed-dependent
+# fault-restart pathology that no bound can hold.
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _f:
     SPEC = json.load(_f)
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 END_TO_END_UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
 PER_LAYER_UNITS = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 PASS_TIMEOUT_S = 170
+
+# An end-to-end run takes turns over this many traces: the one --seed names
+# and three more derived from it. One 75-day trace's drain tail alone moves
+# observed75's wall time by about 10%, so a run on a single trace would carry
+# that into the spread across seeds.
+TRACES_PER_RUN = 4
+TRACE_STRIDE = 1_000_003
 
 # Stage timers must account for this share of wall_s, so no stage is dark.
 MIN_STAGE_COVERAGE = 0.95
@@ -128,34 +137,59 @@ def deterministic_view(record):
 
 
 def check_identical(checks, name, records):
-    """Every deterministic count (and both digests) agrees across `records`,
-    on the names they share (only traced passes count scheduling passes)."""
-    views = [deterministic_view(r) for r in records]
-    shared = set.intersection(*(set(v) for v in views))
-    diffs = sorted(k for k in shared if len({v[k] for v in views}) > 1)
-    checks.add(name, not diffs, "differ: %s" % ", ".join(diffs))
+    """Every deterministic count (and both digests) agrees across the
+    `records` of each trace, on the names they share (only traced passes
+    count scheduling passes). A trace with one record has nothing to compare."""
+    for seed, group in sorted(by_trace(records).items()):
+        if len(group) < 2:
+            continue
+        views = [deterministic_view(r) for r in group]
+        shared = set.intersection(*(set(v) for v in views))
+        diffs = sorted(k for k in shared if len({v[k] for v in views}) > 1)
+        checks.add("%s (trace %d)" % (name, seed), not diffs,
+                   "differ: %s" % ", ".join(diffs))
+
+
+def by_trace(records):
+    groups = {}
+    for record in records:
+        groups.setdefault(record["seed"], []).append(record)
+    return groups
+
+
+def trace_seeds(seed):
+    return [seed + i * TRACE_STRIDE for i in range(TRACES_PER_RUN)]
 
 
 def collect(workload, seed, seconds, traced):
-    """Runs passes until `seconds` have elapsed (at least one of each kind)."""
+    """Runs passes for about `seconds`, at least one of each kind.
+
+    Untraced-only runs take turns over trace_seeds(seed); traced runs pair
+    each untraced pass with a traced one on the trace of `seed`. A pass can
+    take a quarter of a run, so the run stops where the next pass would end
+    further past `seconds` than stopping now falls short of it."""
     untraced, traced_passes = [], []
+    seeds = [seed] if traced else trace_seeds(seed)
     start = time.monotonic()
     while True:
-        untraced.append(run_pass(workload, seed))
+        round_start = time.monotonic()
+        pass_seed = seeds[len(untraced) % len(seeds)]
+        untraced.append(run_pass(workload, pass_seed))
         if traced:
-            traced_passes.append(run_pass(workload, seed, traced=True))
-        if time.monotonic() - start >= seconds:
+            traced_passes.append(run_pass(workload, pass_seed, traced=True))
+        now = time.monotonic()
+        if now - start + (now - round_start) / 2 >= seconds:
             return untraced, traced_passes
 
 
 def end_to_end(untraced):
-    wall_s = median(untraced, "wall_s")
     setup = [s for p in untraced for s in p["setup_samples"]]
-    jobs = untraced[0]["values"]["workload.jobs"]
     return {
-        "wall_s": wall_s,
+        "wall_s": median(untraced, "wall_s"),
         "setup_s": statistics.median(setup),
-        "jobs_per_s": jobs / wall_s,
+        "jobs_per_s": statistics.median(
+            p["values"]["workload.jobs"] / p["values"]["wall_s"]
+            for p in untraced),
         "peak_rss_mb": median(untraced, "peak_rss_mb"),
     }
 
@@ -209,17 +243,19 @@ def cpu_model():
     return "unknown"
 
 
-def print_context(record):
+def print_context(records):
     host = {
         "cpu": cpu_model(),
         "nproc": os.cpu_count(),
-        "compiler": record["build"]["compiler"],
-        "build_type": record["build"]["build_type"],
+        "compiler": records[0]["build"]["compiler"],
+        "build_type": records[0]["build"]["build_type"],
     }
     print("# host: %s" % json.dumps(host, sort_keys=True))
     print("# command: %s" % " ".join(
         shlex.quote(a) for a in ["python3", "perfbench/run.py"] + sys.argv[1:]))
-    print("# digest: %s" % json.dumps(record["digest"], sort_keys=True))
+    for seed, group in sorted(by_trace(records).items()):
+        print("# digest trace %d: %s" % (
+            seed, json.dumps(group[0]["digest"], sort_keys=True)))
 
 
 def benchmark(args):
@@ -239,7 +275,7 @@ def benchmark(args):
     else:
         values = end_to_end(untraced)
         units = END_TO_END_UNITS
-    print_context(untraced[0])
+    print_context(untraced)
     print("# passes: %d untraced, %d traced" % (len(untraced), len(traced)))
     result = {
         "correct": checks.failed == 0,
