@@ -1,47 +1,38 @@
 #include "src/obs/rollup.h"
 
 #include <algorithm>
-#include <charconv>
 #include <ostream>
 #include <stdexcept>
 
-#include "src/common/json.h"
+#include "src/common/ndjson.h"
 
 namespace philly {
 namespace {
 
-void AppendDouble(std::string& out, double v) {
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, result.ptr);
-}
+// Member names in encoding order (the decoder's key table).
+enum DigestKey {
+  kKeyDigest, kKeySamples, kKeyUsedGpuSamples, kKeyQueueMax, kKeyOccSum,
+  kKeyUtilExpSum, kKeyUtilObsSum, kKeyJobs, kKeySegments, kKeyUtilWeight,
+  kKeyUtilWsum, kNumDigestKeys,
+};
 
-void AppendField(std::string& out, std::string_view key, int64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
+constexpr std::string_view kDigestKeys[kNumDigestKeys] = {
+    "digest",       "samples",      "used_gpu_samples", "queue_max",
+    "occ_sum",      "util_exp_sum", "util_obs_sum",     "jobs",
+    "segments",     "util_weight",  "util_wsum",
+};
 
-void AppendField(std::string& out, std::string_view key, double value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  AppendDouble(out, value);
-}
-
-void AppendDoubleArray(std::string& out, std::string_view key,
-                       const std::array<double, TelemetryDigest::kNumClasses>& values) {
-  out += ",\"";
-  out += key;
-  out += "\":[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    AppendDouble(out, values[i]);
+// Reads one of the per-class arrays, which must have exactly kNumClasses
+// entries.
+bool ReadClassArray(NdjsonObjectReader& r,
+                    std::array<double, TelemetryDigest::kNumClasses>& out) {
+  size_t count = 0;
+  if (!r.ReadArray(std::span<double>(out), &count)) {
+    return false;
   }
-  out += ']';
+  return count == out.size() ||
+         r.Fail("digest class arrays must have " +
+                std::to_string(TelemetryDigest::kNumClasses) + " entries");
 }
 
 // Decile bucket bounds in percent; the tenth (overflow) bucket catches
@@ -92,16 +83,16 @@ std::string ToNdjsonLine(const TelemetryDigest& digest) {
   std::string out;
   out.reserve(256);
   out += "{\"digest\":1";
-  AppendField(out, "samples", digest.samples);
-  AppendField(out, "used_gpu_samples", digest.used_gpu_samples);
-  AppendField(out, "queue_max", digest.queue_depth_max);
-  AppendField(out, "occ_sum", digest.occupancy_sum);
-  AppendField(out, "util_exp_sum", digest.util_expected_sum);
-  AppendField(out, "util_obs_sum", digest.util_observed_sum);
-  AppendField(out, "jobs", digest.jobs);
-  AppendField(out, "segments", digest.segments);
-  AppendDoubleArray(out, "util_weight", digest.util_weight);
-  AppendDoubleArray(out, "util_wsum", digest.util_weighted_sum);
+  AppendNdjsonField(out, "samples", digest.samples);
+  AppendNdjsonField(out, "used_gpu_samples", digest.used_gpu_samples);
+  AppendNdjsonField(out, "queue_max", digest.queue_depth_max);
+  AppendNdjsonField(out, "occ_sum", digest.occupancy_sum);
+  AppendNdjsonField(out, "util_exp_sum", digest.util_expected_sum);
+  AppendNdjsonField(out, "util_obs_sum", digest.util_observed_sum);
+  AppendNdjsonField(out, "jobs", digest.jobs);
+  AppendNdjsonField(out, "segments", digest.segments);
+  AppendNdjsonArray(out, "util_weight", digest.util_weight);
+  AppendNdjsonArray(out, "util_wsum", digest.util_weighted_sum);
   out += '}';
   return out;
 }
@@ -112,42 +103,36 @@ bool IsTelemetryDigestLine(std::string_view line) {
 
 bool TelemetryDigestFromNdjsonLine(std::string_view line, TelemetryDigest* digest,
                                    std::string* error) {
-  std::string parse_error;
-  const JsonValue v = JsonValue::Parse(line, &parse_error);
-  if (!parse_error.empty()) {
-    if (error != nullptr) {
-      *error = parse_error;
+  TelemetryDigest d;
+  int64_t marker = 0;
+  const auto read_member = [&d, &marker](size_t key, NdjsonObjectReader& r) {
+    switch (key) {
+      case kKeyDigest: return r.ReadInt(&marker);
+      case kKeySamples: return r.ReadInt(&d.samples);
+      case kKeyUsedGpuSamples: return r.ReadInt(&d.used_gpu_samples);
+      case kKeyQueueMax: return r.ReadInt(&d.queue_depth_max);
+      case kKeyOccSum: return r.ReadDouble(&d.occupancy_sum);
+      case kKeyUtilExpSum: return r.ReadDouble(&d.util_expected_sum);
+      case kKeyUtilObsSum: return r.ReadDouble(&d.util_observed_sum);
+      case kKeyJobs: return r.ReadInt(&d.jobs);
+      case kKeySegments: return r.ReadInt(&d.segments);
+      case kKeyUtilWeight: return ReadClassArray(r, d.util_weight);
+      case kKeyUtilWsum: return ReadClassArray(r, d.util_weighted_sum);
     }
     return false;
+  };
+  uint64_t seen = 0;
+  if (!DecodeNdjsonObject(line, kDigestKeys, read_member, &seen, error)) {
+    return false;
   }
-  if (v.type() != JsonValue::Type::kObject || v["digest"].is_null()) {
+  constexpr uint64_t kRequired = (uint64_t{1} << kKeyDigest) |
+                                 (uint64_t{1} << kKeyUtilWeight) |
+                                 (uint64_t{1} << kKeyUtilWsum);
+  if ((seen & kRequired) != kRequired) {
     if (error != nullptr) {
       *error = "not a telemetry digest line";
     }
     return false;
-  }
-  TelemetryDigest d;
-  d.samples = static_cast<int64_t>(v["samples"].AsNumber());
-  d.used_gpu_samples = static_cast<int64_t>(v["used_gpu_samples"].AsNumber());
-  d.queue_depth_max = static_cast<int64_t>(v["queue_max"].AsNumber());
-  d.occupancy_sum = v["occ_sum"].AsNumber();
-  d.util_expected_sum = v["util_exp_sum"].AsNumber();
-  d.util_observed_sum = v["util_obs_sum"].AsNumber();
-  d.jobs = static_cast<int64_t>(v["jobs"].AsNumber());
-  d.segments = static_cast<int64_t>(v["segments"].AsNumber());
-  const auto& weights = v["util_weight"].AsArray();
-  const auto& sums = v["util_wsum"].AsArray();
-  const auto num_classes = static_cast<size_t>(TelemetryDigest::kNumClasses);
-  if (weights.size() != num_classes || sums.size() != num_classes) {
-    if (error != nullptr) {
-      *error = "digest class arrays must have " +
-               std::to_string(TelemetryDigest::kNumClasses) + " entries";
-    }
-    return false;
-  }
-  for (size_t i = 0; i < num_classes; ++i) {
-    d.util_weight[i] = weights[i].AsNumber();
-    d.util_weighted_sum[i] = sums[i].AsNumber();
   }
   *digest = d;
   return true;

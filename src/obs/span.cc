@@ -1,11 +1,9 @@
 #include "src/obs/span.h"
 
 #include <cassert>
-#include <istream>
 #include <ostream>
 
-#include "src/common/json.h"
-#include "src/common/strings.h"
+#include "src/common/ndjson.h"
 
 namespace philly {
 namespace {
@@ -22,19 +20,49 @@ constexpr std::string_view kSpanKindNames[kNumSpanKinds] = {
     "ckpt",
 };
 
-void AppendField(std::string& out, std::string_view key, int64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
+// Member names in encoding order (the decoder's key table).
+enum SpanKey {
+  kKeyStart, kKeyKind, kKeyDur, kKeyCode, kKeyJob, kKeyVc, kKeyUser,
+  kKeyGpus, kKeyWait, kKeyAttempt, kKeyDetail, kNumSpanKeys,
+};
 
-void AppendField(std::string& out, std::string_view key, std::string_view value) {
-  out += ",\"";
-  out += key;
-  out += "\":\"";
-  out += JsonEscape(value);
+constexpr std::string_view kSpanKeys[kNumSpanKeys] = {
+    "t",  "sp",   "dur",  "code",    "job",    "vc",
+    "user", "gpus", "wait", "attempt", "detail",
+};
+
+void AppendNdjsonLine(std::string& out, const SpanRecord& s) {
+  out += "{\"t\":";
+  AppendJsonInt(out, s.start);
+  out += ",\"sp\":\"";
+  out += ToString(s.kind);
   out += '"';
+  AppendNdjsonField(out, "dur", s.dur);
+  if (s.kind == SpanKind::kBlame || s.kind == SpanKind::kCkpt) {
+    AppendNdjsonField(out, "code", ToString(s.code));
+  }
+  if (s.job != kNoJob) {
+    AppendNdjsonField(out, "job", s.job);
+  }
+  if (s.vc >= 0) {
+    AppendNdjsonField(out, "vc", static_cast<int64_t>(s.vc));
+  }
+  if (s.user >= 0) {
+    AppendNdjsonField(out, "user", static_cast<int64_t>(s.user));
+  }
+  if (s.gpus > 0) {
+    AppendNdjsonField(out, "gpus", static_cast<int64_t>(s.gpus));
+  }
+  if (s.wait_index >= 0) {
+    AppendNdjsonField(out, "wait", static_cast<int64_t>(s.wait_index));
+  }
+  if (s.attempt >= 0) {
+    AppendNdjsonField(out, "attempt", static_cast<int64_t>(s.attempt));
+  }
+  if (!s.detail.empty()) {
+    AppendNdjsonField(out, "detail", s.detail);
+  }
+  out += '}';
 }
 
 }  // namespace
@@ -67,127 +95,98 @@ bool SpanKindFromString(std::string_view text, SpanKind* kind) {
   return false;
 }
 
-std::string ToNdjsonLine(const SpanRecord& s) {
+std::string ToNdjsonLine(const SpanRecord& span) {
   std::string out;
   out.reserve(96);
-  out += "{\"t\":";
-  out += std::to_string(s.start);
-  out += ",\"sp\":\"";
-  out += ToString(s.kind);
-  out += '"';
-  AppendField(out, "dur", s.dur);
-  if (s.kind == SpanKind::kBlame || s.kind == SpanKind::kCkpt) {
-    AppendField(out, "code", ToString(s.code));
-  }
-  if (s.job != kNoJob) {
-    AppendField(out, "job", s.job);
-  }
-  if (s.vc >= 0) {
-    AppendField(out, "vc", static_cast<int64_t>(s.vc));
-  }
-  if (s.user >= 0) {
-    AppendField(out, "user", static_cast<int64_t>(s.user));
-  }
-  if (s.gpus > 0) {
-    AppendField(out, "gpus", static_cast<int64_t>(s.gpus));
-  }
-  if (s.wait_index >= 0) {
-    AppendField(out, "wait", static_cast<int64_t>(s.wait_index));
-  }
-  if (s.attempt >= 0) {
-    AppendField(out, "attempt", static_cast<int64_t>(s.attempt));
-  }
-  if (!s.detail.empty()) {
-    AppendField(out, "detail", s.detail);
-  }
-  out += '}';
+  AppendNdjsonLine(out, span);
   return out;
 }
 
 bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span,
                               std::string* error) {
-  std::string parse_error;
-  const JsonValue v = JsonValue::Parse(line, &parse_error);
-  if (!parse_error.empty()) {
-    if (error != nullptr) {
-      *error = parse_error;
+  SpanRecord s;
+  // The code is checked against the kind once both are known; until then
+  // only a code tag that names no blame code is remembered, for the message.
+  bool code_known = false;
+  std::string unknown_code;
+  const auto read_member = [&](size_t key, NdjsonObjectReader& r) {
+    switch (key) {
+      case kKeyStart: return r.ReadInt(&s.start);
+      case kKeyKind: {
+        std::string_view tag;
+        if (!r.ReadStringView(&tag)) {
+          return false;
+        }
+        return SpanKindFromString(tag, &s.kind) ||
+               r.Fail("unknown span kind '" + std::string(tag) + "'");
+      }
+      case kKeyDur: return r.ReadInt(&s.dur);
+      case kKeyCode: {
+        std::string_view tag;
+        if (!r.ReadStringView(&tag)) {
+          return false;
+        }
+        code_known = BlameCodeFromString(tag, &s.code);
+        if (!code_known) {
+          unknown_code = tag;
+        }
+        return true;
+      }
+      case kKeyJob: return r.ReadInt(&s.job);
+      case kKeyVc: return r.ReadInt(&s.vc);
+      case kKeyUser: return r.ReadInt(&s.user);
+      case kKeyGpus: return r.ReadInt(&s.gpus);
+      case kKeyWait: return r.ReadInt(&s.wait_index);
+      case kKeyAttempt: return r.ReadInt(&s.attempt);
+      case kKeyDetail: return r.ReadString(&s.detail);
     }
     return false;
-  }
-  if (v.type() != JsonValue::Type::kObject) {
-    if (error != nullptr) {
-      *error = "span line is not a JSON object";
-    }
+  };
+  uint64_t seen = 0;
+  if (!DecodeNdjsonObject(line, kSpanKeys, read_member, &seen, error)) {
     return false;
   }
   // `t`, `sp`, and `dur` are written unconditionally, so a line missing any
   // of them is truncation or hand-editing, not a default-omitted field.
-  if (v["t"].is_null() || v["dur"].is_null()) {
+  constexpr uint64_t kRequired = (uint64_t{1} << kKeyStart) |
+                                 (uint64_t{1} << kKeyKind) |
+                                 (uint64_t{1} << kKeyDur);
+  if ((seen & kRequired) != kRequired) {
     if (error != nullptr) {
-      *error = "span line is missing 't' or 'dur'";
-    }
-    return false;
-  }
-  SpanRecord s;
-  if (!SpanKindFromString(v["sp"].AsString(), &s.kind)) {
-    if (error != nullptr) {
-      *error = "unknown span kind '" + v["sp"].AsString() + "'";
+      *error = "span line is missing 't', 'sp' or 'dur'";
     }
     return false;
   }
   if (s.kind == SpanKind::kBlame || s.kind == SpanKind::kCkpt) {
-    if (!BlameCodeFromString(v["code"].AsString(), &s.code)) {
+    if (!code_known) {
       if (error != nullptr) {
-        *error = "unknown blame code '" + v["code"].AsString() + "'";
+        *error = "unknown blame code '" + unknown_code + "'";
       }
       return false;
     }
+  } else {
+    s.code = SpanRecord{}.code;  // other kinds carry no code
   }
-  const auto as_i64 = [&v](std::string_view key, int64_t fallback) {
-    const JsonValue& field = v[key];
-    return field.is_null() ? fallback : static_cast<int64_t>(field.AsNumber());
-  };
-  s.start = as_i64("t", 0);
-  s.dur = as_i64("dur", 0);
-  s.job = as_i64("job", kNoJob);
-  s.vc = static_cast<int32_t>(as_i64("vc", -1));
-  s.user = static_cast<int32_t>(as_i64("user", -1));
-  s.gpus = static_cast<int>(as_i64("gpus", 0));
-  s.wait_index = static_cast<int>(as_i64("wait", -1));
-  s.attempt = static_cast<int>(as_i64("attempt", -1));
-  s.detail = v["detail"].AsString();
   *span = std::move(s);
   return true;
 }
 
 void SpanLog::WriteNdjson(std::ostream& out) const {
-  for (const SpanRecord& span : spans_) {
-    out << ToNdjsonLine(span) << '\n';
-  }
+  WriteNdjsonLines(out, spans_.size(), [this](std::string& buffer, size_t i) {
+    AppendNdjsonLine(buffer, spans_[i]);
+  });
 }
 
 std::vector<SpanRecord> SpanLog::ReadNdjson(std::istream& in, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
   std::vector<SpanRecord> spans;
-  std::string line;
-  int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
+  ReadNdjsonLines(in, [&spans](std::string_view line, std::string* line_error) {
     SpanRecord span;
-    std::string line_error;
-    if (!SpanRecordFromNdjsonLine(line, &span, &line_error)) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_number) + ": " + line_error;
-      }
-      break;
+    if (!SpanRecordFromNdjsonLine(line, &span, line_error)) {
+      return false;
     }
     spans.push_back(std::move(span));
-  }
+    return true;
+  }, error);
   return spans;
 }
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
-#include <istream>
 #include <ostream>
 
 #include "src/common/distributions.h"
-#include "src/common/json.h"
+#include "src/common/ndjson.h"
 #include "src/obs/rollup.h"
 
 namespace philly {
@@ -31,198 +29,163 @@ double HashedNormal(uint64_t seed, uint64_t index) {
   return Probit(u);
 }
 
-// Shortest round-trip double encoding, mirroring event_log.cc.
-void AppendDouble(std::string& out, double v) {
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, result.ptr);
-}
+// Member names in encoding order (the decoder's key table).
+enum SampleKey {
+  kKeyTime, kKeyUsed, kKeyFree, kKeyOcc, kKeyRunning, kKeyQueued,
+  kKeyBusySrv, kKeyEmptySrv, kKeyRacksEmpty, kKeyOffline, kKeyRelax,
+  kKeyBackoffs, kKeyPreempt, kKeyMigrate, kKeyFaultKill, kKeyLostGpuS,
+  kKeyCkptWrites, kKeyCkptOverhead, kKeyCkptStall, kKeyUtilExp, kKeyUtilObs,
+  kKeyRackFree, kKeyVcQueued, kKeyVcRunning, kKeyVcGpus, kKeyUtilDeciles,
+  kKeyCkptWriters, kKeyVcBlame, kNumSampleKeys,
+};
 
-void AppendField(std::string& out, std::string_view key, int64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
+constexpr std::string_view kSampleKeys[kNumSampleKeys] = {
+    "t",          "used",         "free",         "occ",
+    "running",    "queued",       "busy_srv",     "empty_srv",
+    "racks_empty", "offline",     "relax",        "backoffs",
+    "preempt",    "migrate",      "fault_kill",   "lost_gpu_s",
+    "ckpt_writes", "ckpt_overhead_gpu_s", "ckpt_stall_gpu_s", "util_exp",
+    "util_obs",   "rack_free",    "vc_queued",    "vc_running",
+    "vc_gpus",    "util_deciles", "ckpt_writers", "vc_blame_s",
+};
 
-void AppendField(std::string& out, std::string_view key, double value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  AppendDouble(out, value);
-}
-
-template <typename IntSequence>
-void AppendIntArray(std::string& out, std::string_view key,
-                    const IntSequence& values) {
-  out += ",\"";
-  out += key;
-  out += "\":[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(values[i]);
+void AppendNdjsonLine(std::string& out, const TelemetrySample& s) {
+  out += "{\"t\":";
+  AppendJsonInt(out, s.time);
+  if (s.used_gpus != 0) {
+    AppendNdjsonField(out, "used", static_cast<int64_t>(s.used_gpus));
   }
-  out += ']';
-}
-
-std::vector<int> ReadIntArray(const JsonValue& v, std::string_view key) {
-  std::vector<int> out;
-  const auto& items = v[key].AsArray();
-  out.reserve(items.size());
-  for (const JsonValue& item : items) {
-    out.push_back(static_cast<int>(item.AsNumber()));
+  if (s.free_gpus != 0) {
+    AppendNdjsonField(out, "free", static_cast<int64_t>(s.free_gpus));
   }
-  return out;
-}
-
-std::vector<int64_t> ReadInt64Array(const JsonValue& v, std::string_view key) {
-  std::vector<int64_t> out;
-  const auto& items = v[key].AsArray();
-  out.reserve(items.size());
-  for (const JsonValue& item : items) {
-    out.push_back(static_cast<int64_t>(item.AsNumber()));
+  if (s.occupancy != 0.0) {
+    AppendNdjsonField(out, "occ", s.occupancy);
   }
-  return out;
+  if (s.running_jobs != 0) {
+    AppendNdjsonField(out, "running", static_cast<int64_t>(s.running_jobs));
+  }
+  if (s.queued_jobs != 0) {
+    AppendNdjsonField(out, "queued", static_cast<int64_t>(s.queued_jobs));
+  }
+  if (s.busy_servers != 0) {
+    AppendNdjsonField(out, "busy_srv", static_cast<int64_t>(s.busy_servers));
+  }
+  if (s.empty_servers != 0) {
+    AppendNdjsonField(out, "empty_srv", static_cast<int64_t>(s.empty_servers));
+  }
+  if (s.racks_with_empty != 0) {
+    AppendNdjsonField(out, "racks_empty", static_cast<int64_t>(s.racks_with_empty));
+  }
+  if (s.offline_servers != 0) {
+    AppendNdjsonField(out, "offline", static_cast<int64_t>(s.offline_servers));
+  }
+  if (s.locality_relaxations != 0) {
+    AppendNdjsonField(out, "relax", s.locality_relaxations);
+  }
+  if (s.backoffs != 0) {
+    AppendNdjsonField(out, "backoffs", s.backoffs);
+  }
+  if (s.preemptions != 0) {
+    AppendNdjsonField(out, "preempt", s.preemptions);
+  }
+  if (s.migrations != 0) {
+    AppendNdjsonField(out, "migrate", s.migrations);
+  }
+  if (s.fault_kills != 0) {
+    AppendNdjsonField(out, "fault_kill", s.fault_kills);
+  }
+  if (s.lost_gpu_seconds != 0.0) {
+    AppendNdjsonField(out, "lost_gpu_s", s.lost_gpu_seconds);
+  }
+  if (s.ckpt_writes != 0) {
+    AppendNdjsonField(out, "ckpt_writes", s.ckpt_writes);
+  }
+  if (s.ckpt_overhead_gpu_seconds != 0.0) {
+    AppendNdjsonField(out, "ckpt_overhead_gpu_s", s.ckpt_overhead_gpu_seconds);
+  }
+  if (s.ckpt_stall_gpu_seconds != 0.0) {
+    AppendNdjsonField(out, "ckpt_stall_gpu_s", s.ckpt_stall_gpu_seconds);
+  }
+  if (s.util_expected_pct != 0.0) {
+    AppendNdjsonField(out, "util_exp", s.util_expected_pct);
+  }
+  if (s.util_observed_pct != 0.0) {
+    AppendNdjsonField(out, "util_obs", s.util_observed_pct);
+  }
+  AppendNdjsonArray(out, "rack_free", s.rack_free_gpus);
+  AppendNdjsonArray(out, "vc_queued", s.vc_queued);
+  AppendNdjsonArray(out, "vc_running", s.vc_running);
+  AppendNdjsonArray(out, "vc_gpus", s.vc_used_gpus);
+  AppendNdjsonArray(out, "util_deciles", s.util_deciles);
+  // Present only when the checkpoint I/O model is enabled (byte-identity for
+  // disabled-model streams).
+  if (!s.ckpt_rack_writers.empty()) {
+    AppendNdjsonArray(out, "ckpt_writers", s.ckpt_rack_writers);
+  }
+  // Present only when the span tracer is attached (same byte-identity rule).
+  if (!s.vc_blame_s.empty()) {
+    AppendNdjsonArray(out, "vc_blame_s", s.vc_blame_s);
+  }
+  out += '}';
 }
 
 }  // namespace
 
 std::string ToNdjsonLine(const TelemetrySample& s) {
   std::string out;
-  out.reserve(256);
-  out += "{\"t\":";
-  out += std::to_string(s.time);
-  if (s.used_gpus != 0) {
-    AppendField(out, "used", static_cast<int64_t>(s.used_gpus));
-  }
-  if (s.free_gpus != 0) {
-    AppendField(out, "free", static_cast<int64_t>(s.free_gpus));
-  }
-  if (s.occupancy != 0.0) {
-    AppendField(out, "occ", s.occupancy);
-  }
-  if (s.running_jobs != 0) {
-    AppendField(out, "running", static_cast<int64_t>(s.running_jobs));
-  }
-  if (s.queued_jobs != 0) {
-    AppendField(out, "queued", static_cast<int64_t>(s.queued_jobs));
-  }
-  if (s.busy_servers != 0) {
-    AppendField(out, "busy_srv", static_cast<int64_t>(s.busy_servers));
-  }
-  if (s.empty_servers != 0) {
-    AppendField(out, "empty_srv", static_cast<int64_t>(s.empty_servers));
-  }
-  if (s.racks_with_empty != 0) {
-    AppendField(out, "racks_empty", static_cast<int64_t>(s.racks_with_empty));
-  }
-  if (s.offline_servers != 0) {
-    AppendField(out, "offline", static_cast<int64_t>(s.offline_servers));
-  }
-  if (s.locality_relaxations != 0) {
-    AppendField(out, "relax", s.locality_relaxations);
-  }
-  if (s.backoffs != 0) {
-    AppendField(out, "backoffs", s.backoffs);
-  }
-  if (s.preemptions != 0) {
-    AppendField(out, "preempt", s.preemptions);
-  }
-  if (s.migrations != 0) {
-    AppendField(out, "migrate", s.migrations);
-  }
-  if (s.fault_kills != 0) {
-    AppendField(out, "fault_kill", s.fault_kills);
-  }
-  if (s.lost_gpu_seconds != 0.0) {
-    AppendField(out, "lost_gpu_s", s.lost_gpu_seconds);
-  }
-  if (s.ckpt_writes != 0) {
-    AppendField(out, "ckpt_writes", s.ckpt_writes);
-  }
-  if (s.ckpt_overhead_gpu_seconds != 0.0) {
-    AppendField(out, "ckpt_overhead_gpu_s", s.ckpt_overhead_gpu_seconds);
-  }
-  if (s.ckpt_stall_gpu_seconds != 0.0) {
-    AppendField(out, "ckpt_stall_gpu_s", s.ckpt_stall_gpu_seconds);
-  }
-  if (s.util_expected_pct != 0.0) {
-    AppendField(out, "util_exp", s.util_expected_pct);
-  }
-  if (s.util_observed_pct != 0.0) {
-    AppendField(out, "util_obs", s.util_observed_pct);
-  }
-  AppendIntArray(out, "rack_free", s.rack_free_gpus);
-  AppendIntArray(out, "vc_queued", s.vc_queued);
-  AppendIntArray(out, "vc_running", s.vc_running);
-  AppendIntArray(out, "vc_gpus", s.vc_used_gpus);
-  AppendIntArray(out, "util_deciles", s.util_deciles);
-  // Present only when the checkpoint I/O model is enabled (byte-identity for
-  // disabled-model streams).
-  if (!s.ckpt_rack_writers.empty()) {
-    AppendIntArray(out, "ckpt_writers", s.ckpt_rack_writers);
-  }
-  // Present only when the span tracer is attached (same byte-identity rule).
-  if (!s.vc_blame_s.empty()) {
-    AppendIntArray(out, "vc_blame_s", s.vc_blame_s);
-  }
-  out += '}';
+  out.reserve(1024);
+  AppendNdjsonLine(out, s);
   return out;
 }
 
 bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sample,
                                    std::string* error) {
-  std::string parse_error;
-  const JsonValue v = JsonValue::Parse(line, &parse_error);
-  if (!parse_error.empty()) {
-    if (error != nullptr) {
-      *error = parse_error;
+  TelemetrySample s;
+  const auto read_member = [&s](size_t key, NdjsonObjectReader& r) {
+    switch (key) {
+      case kKeyTime: return r.ReadInt(&s.time);
+      case kKeyUsed: return r.ReadInt(&s.used_gpus);
+      case kKeyFree: return r.ReadInt(&s.free_gpus);
+      case kKeyOcc: return r.ReadDouble(&s.occupancy);
+      case kKeyRunning: return r.ReadInt(&s.running_jobs);
+      case kKeyQueued: return r.ReadInt(&s.queued_jobs);
+      case kKeyBusySrv: return r.ReadInt(&s.busy_servers);
+      case kKeyEmptySrv: return r.ReadInt(&s.empty_servers);
+      case kKeyRacksEmpty: return r.ReadInt(&s.racks_with_empty);
+      case kKeyOffline: return r.ReadInt(&s.offline_servers);
+      case kKeyRelax: return r.ReadInt(&s.locality_relaxations);
+      case kKeyBackoffs: return r.ReadInt(&s.backoffs);
+      case kKeyPreempt: return r.ReadInt(&s.preemptions);
+      case kKeyMigrate: return r.ReadInt(&s.migrations);
+      case kKeyFaultKill: return r.ReadInt(&s.fault_kills);
+      case kKeyLostGpuS: return r.ReadDouble(&s.lost_gpu_seconds);
+      case kKeyCkptWrites: return r.ReadInt(&s.ckpt_writes);
+      case kKeyCkptOverhead: return r.ReadDouble(&s.ckpt_overhead_gpu_seconds);
+      case kKeyCkptStall: return r.ReadDouble(&s.ckpt_stall_gpu_seconds);
+      case kKeyUtilExp: return r.ReadDouble(&s.util_expected_pct);
+      case kKeyUtilObs: return r.ReadDouble(&s.util_observed_pct);
+      case kKeyRackFree: return r.ReadIntArray(&s.rack_free_gpus);
+      case kKeyVcQueued: return r.ReadIntArray(&s.vc_queued);
+      case kKeyVcRunning: return r.ReadIntArray(&s.vc_running);
+      case kKeyVcGpus: return r.ReadIntArray(&s.vc_used_gpus);
+      case kKeyUtilDeciles: {
+        size_t count = 0;
+        return r.ReadArray(std::span<int>(s.util_deciles), &count);
+      }
+      case kKeyCkptWriters: return r.ReadIntArray(&s.ckpt_rack_writers);
+      case kKeyVcBlame: return r.ReadIntArray(&s.vc_blame_s);
     }
     return false;
+  };
+  uint64_t seen = 0;
+  if (!DecodeNdjsonObject(line, kSampleKeys, read_member, &seen, error)) {
+    return false;
   }
-  if (v.type() != JsonValue::Type::kObject || v["t"].is_null()) {
+  if ((seen & (uint64_t{1} << kKeyTime)) == 0) {
     if (error != nullptr) {
       *error = "telemetry line is not a sample object";
     }
     return false;
-  }
-  const auto as_i64 = [&v](std::string_view key, int64_t fallback) {
-    const JsonValue& field = v[key];
-    return field.is_null() ? fallback : static_cast<int64_t>(field.AsNumber());
-  };
-  TelemetrySample s;
-  s.time = as_i64("t", 0);
-  s.used_gpus = static_cast<int>(as_i64("used", 0));
-  s.free_gpus = static_cast<int>(as_i64("free", 0));
-  s.occupancy = v["occ"].AsNumber(0.0);
-  s.running_jobs = static_cast<int>(as_i64("running", 0));
-  s.queued_jobs = static_cast<int>(as_i64("queued", 0));
-  s.busy_servers = static_cast<int>(as_i64("busy_srv", 0));
-  s.empty_servers = static_cast<int>(as_i64("empty_srv", 0));
-  s.racks_with_empty = static_cast<int>(as_i64("racks_empty", 0));
-  s.offline_servers = static_cast<int>(as_i64("offline", 0));
-  s.locality_relaxations = as_i64("relax", 0);
-  s.backoffs = as_i64("backoffs", 0);
-  s.preemptions = as_i64("preempt", 0);
-  s.migrations = as_i64("migrate", 0);
-  s.fault_kills = as_i64("fault_kill", 0);
-  s.lost_gpu_seconds = v["lost_gpu_s"].AsNumber(0.0);
-  s.ckpt_writes = as_i64("ckpt_writes", 0);
-  s.ckpt_overhead_gpu_seconds = v["ckpt_overhead_gpu_s"].AsNumber(0.0);
-  s.ckpt_stall_gpu_seconds = v["ckpt_stall_gpu_s"].AsNumber(0.0);
-  s.util_expected_pct = v["util_exp"].AsNumber(0.0);
-  s.util_observed_pct = v["util_obs"].AsNumber(0.0);
-  s.rack_free_gpus = ReadIntArray(v, "rack_free");
-  s.vc_queued = ReadIntArray(v, "vc_queued");
-  s.vc_running = ReadIntArray(v, "vc_running");
-  s.vc_used_gpus = ReadIntArray(v, "vc_gpus");
-  s.ckpt_rack_writers = ReadIntArray(v, "ckpt_writers");
-  s.vc_blame_s = ReadInt64Array(v, "vc_blame_s");
-  const std::vector<int> deciles = ReadIntArray(v, "util_deciles");
-  for (size_t i = 0; i < s.util_deciles.size() && i < deciles.size(); ++i) {
-    s.util_deciles[i] = deciles[i];
   }
   *sample = std::move(s);
   return true;
@@ -291,9 +254,9 @@ double ClusterTimeSeries::ObserveUtilPct(JobId job, int attempt,
 
 void ClusterTimeSeries::WriteNdjson(std::ostream& out,
                                     const TelemetryDigest* digest) const {
-  for (const TelemetrySample& sample : samples_) {
-    out << ToNdjsonLine(sample) << '\n';
-  }
+  WriteNdjsonLines(out, samples_.size(), [this](std::string& buffer, size_t i) {
+    AppendNdjsonLine(buffer, samples_[i]);
+  });
   if (digest != nullptr) {
     out << ToNdjsonLine(*digest) << '\n';
   }
@@ -302,28 +265,15 @@ void ClusterTimeSeries::WriteNdjson(std::ostream& out,
 std::vector<TelemetrySample> ClusterTimeSeries::ReadNdjson(
     std::istream& in, TelemetryDigest* digest, bool* found_digest,
     std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
   if (found_digest != nullptr) {
     *found_digest = false;
   }
   std::vector<TelemetrySample> samples;
-  std::string line;
-  int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
-    std::string line_error;
+  ReadNdjsonLines(in, [&](std::string_view line, std::string* line_error) {
     if (IsTelemetryDigestLine(line)) {
       TelemetryDigest parsed;
-      if (!TelemetryDigestFromNdjsonLine(line, &parsed, &line_error)) {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(line_number) + ": " + line_error;
-        }
-        break;
+      if (!TelemetryDigestFromNdjsonLine(line, &parsed, line_error)) {
+        return false;
       }
       if (digest != nullptr) {
         *digest = parsed;
@@ -331,17 +281,15 @@ std::vector<TelemetrySample> ClusterTimeSeries::ReadNdjson(
       if (found_digest != nullptr) {
         *found_digest = true;
       }
-      continue;
+      return true;
     }
     TelemetrySample sample;
-    if (!TelemetrySampleFromNdjsonLine(line, &sample, &line_error)) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_number) + ": " + line_error;
-      }
-      break;
+    if (!TelemetrySampleFromNdjsonLine(line, &sample, line_error)) {
+      return false;
     }
     samples.push_back(std::move(sample));
-  }
+    return true;
+  }, error);
   return samples;
 }
 

@@ -96,13 +96,61 @@ TEST(EventLogTest, KindTagsRoundTrip) {
 }
 
 TEST(EventLogTest, ReadNdjsonReportsMalformedLine) {
-  std::istringstream in(
-      "{\"t\":0,\"ev\":\"submit\",\"job\":1}\n"
-      "this is not json\n");
+  const char* bad[] = {
+      "this is not json",
+      // A known member holding the wrong JSON type is an error, not a 0.
+      "{\"t\":\"60\",\"ev\":\"submit\",\"job\":1}",
+      "{\"t\":60,\"ev\":\"submit\",\"job\":\"7\"}",
+      "{\"t\":60,\"ev\":\"submit\",\"job\":7.5}",
+      "{\"t\":60,\"ev\":7}",
+      "{\"t\":60,\"ev\":\"schedule\",\"detail\":3}",
+      // A known member given twice is an error, not "first one wins".
+      "{\"t\":60,\"ev\":\"submit\",\"job\":1,\"job\":2}",
+      "{\"t\":60,\"ev\":\"submit\",\"ev\":\"queued\"}",
+      // Truncated, trailing content, missing the always-written members.
+      "{\"t\":60,\"ev\":\"submit\",\"job\":1",
+      "{\"t\":60,\"ev\":\"submit\"} x",
+      "{\"ev\":\"submit\",\"job\":1}",
+      "{\"t\":60,\"job\":1}",
+  };
+  for (const char* line : bad) {
+    std::istringstream in(std::string("{\"t\":0,\"ev\":\"submit\",\"job\":1}\n") +
+                          line + "\n");
+    std::string error;
+    const auto events = EventLog::ReadNdjson(in, &error);
+    EXPECT_EQ(events.size(), 1u) << line;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << line << ": " << error;
+  }
+}
+
+TEST(EventLogTest, IntegersPastDoublePrecisionDecodeExactly) {
+  // 2^53 + 1 has no double representation; a decode through double rounds it.
+  SchedEvent event;
   std::string error;
-  const auto events = EventLog::ReadNdjson(in, &error);
-  EXPECT_EQ(events.size(), 1u);
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  ASSERT_TRUE(SchedEventFromNdjsonLine(
+      "{\"t\":60,\"ev\":\"submit\",\"job\":9007199254740993}", &event, &error))
+      << error;
+  EXPECT_EQ(event.job, int64_t{9007199254740993});
+  EXPECT_EQ(ToNdjsonLine(event),
+            "{\"t\":60,\"ev\":\"submit\",\"job\":9007199254740993}");
+}
+
+TEST(EventLogTest, EscapedDetailAndPlacementRoundTrip) {
+  SchedEvent event;
+  event.time = 60;
+  event.kind = SchedEventKind::kSchedule;
+  event.job = 7;
+  event.placement = "3:4|\"9\":4\\";
+  event.detail = "quote\" backslash\\ newline\n ctrl\x01";
+  const std::string line = ToNdjsonLine(event);
+  EXPECT_NE(line.find("\\u0001"), std::string::npos) << line;
+  EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+  SchedEvent parsed;
+  std::string error;
+  ASSERT_TRUE(SchedEventFromNdjsonLine(line, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.detail, event.detail);
+  EXPECT_EQ(parsed.placement, event.placement);
+  EXPECT_EQ(ToNdjsonLine(parsed), line);
 }
 
 TEST(EventLogTest, FullRunStreamRoundTripsByteIdentically) {

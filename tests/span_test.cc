@@ -187,6 +187,18 @@ TEST(SpanCodecTest, MalformedLinesAreRejected) {
       "{\"t\":1,\"sp\":\"nonsense\",\"dur\":2}",
       "{\"t\":1,\"sp\":\"blame\",\"dur\":2,\"code\":\"bogus_code\"}",
       "{\"sp\":\"queued\",\"dur\":2}",
+      // A known member holding the wrong JSON type is an error, not a 0.
+      "{\"t\":\"60\",\"sp\":\"queued\",\"dur\":2}",
+      "{\"t\":1,\"sp\":\"queued\",\"dur\":2,\"job\":\"7\"}",
+      "{\"t\":1,\"sp\":\"running\",\"dur\":2,\"detail\":0}",
+      "{\"t\":1,\"sp\":\"blame\",\"dur\":2,\"code\":3}",
+      // A known member given twice is an error, not "first one wins".
+      "{\"t\":1,\"sp\":\"queued\",\"dur\":2,\"dur\":3}",
+      "{\"t\":1,\"sp\":\"queued\",\"dur\":2,\"job\":1,\"job\":1}",
+      // Truncated, trailing content, missing the always-written `sp`.
+      "{\"t\":1,\"sp\":\"queued\",\"dur\":2",
+      "{\"t\":1,\"sp\":\"queued\",\"dur\":2}}",
+      "{\"t\":1,\"dur\":2}",
   };
   for (const char* line : bad) {
     std::istringstream in(line);
@@ -194,6 +206,35 @@ TEST(SpanCodecTest, MalformedLinesAreRejected) {
     SpanLog::ReadNdjson(in, &error);
     EXPECT_FALSE(error.empty()) << "accepted malformed line: " << line;
   }
+}
+
+TEST(SpanCodecTest, IntegersPastDoublePrecisionDecodeExactly) {
+  const std::string line =
+      "{\"t\":9007199254740993,\"sp\":\"queued\",\"dur\":2,"
+      "\"job\":9007199254740993}";
+  SpanRecord span;
+  std::string error;
+  ASSERT_TRUE(SpanRecordFromNdjsonLine(line, &span, &error)) << error;
+  EXPECT_EQ(span.start, int64_t{9007199254740993});
+  EXPECT_EQ(span.job, int64_t{9007199254740993});
+  EXPECT_EQ(ToNdjsonLine(span), line);
+}
+
+TEST(SpanCodecTest, EscapedDetailRoundTrips) {
+  SpanRecord span;
+  span.start = 60;
+  span.dur = 5;
+  span.kind = SpanKind::kRunning;
+  span.job = 7;
+  span.attempt = 0;
+  span.detail = "quote\" backslash\\ newline\n ctrl\x01";
+  const std::string line = ToNdjsonLine(span);
+  EXPECT_NE(line.find("\\u0001"), std::string::npos) << line;
+  SpanRecord parsed;
+  std::string error;
+  ASSERT_TRUE(SpanRecordFromNdjsonLine(line, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.detail, span.detail);
+  EXPECT_EQ(ToNdjsonLine(parsed), line);
 }
 
 TEST(SpanCodecTest, ChromeTraceExportEmitsCompleteSlices) {

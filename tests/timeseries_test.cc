@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
 #include "src/core/runner.h"
@@ -138,18 +139,70 @@ TEST(TimeSeriesCodecTest, DigestLineRoundTripsBitwise) {
 }
 
 TEST(TimeSeriesCodecTest, ReadNdjsonReportsMalformedLine) {
-  std::istringstream in(
-      "{\"t\":60,\"rack_free\":[],\"vc_queued\":[],\"vc_running\":[],"
-      "\"vc_gpus\":[],\"util_deciles\":[]}\n"
-      "not json at all\n");
-  TelemetryDigest digest;
-  bool found_digest = false;
+  const char* bad[] = {
+      "not json at all",
+      // A known member holding the wrong JSON type is an error, not a 0.
+      "{\"t\":\"60\",\"rack_free\":[]}",
+      "{\"t\":120,\"used\":\"7\"}",
+      "{\"t\":120,\"occ\":\"0.5\"}",
+      "{\"t\":120,\"rack_free\":[1,\"2\"]}",
+      "{\"t\":120,\"vc_queued\":3}",
+      "{\"t\":120,\"util_deciles\":[0,0,0,0,0,0,0,0,0,0,1]}",
+      // A known member given twice is an error, not "first one wins".
+      "{\"t\":120,\"used\":1,\"used\":2}",
+      "{\"t\":120,\"t\":180}",
+      // Truncated, trailing content, missing `t`.
+      "{\"t\":120,\"rack_free\":[1,2",
+      "{\"t\":120}{}",
+      "{\"used\":1}",
+      // A digest line with the wrong type or a short class array.
+      "{\"digest\":1,\"samples\":\"1\",\"util_weight\":[0,0,0,0,0],"
+      "\"util_wsum\":[0,0,0,0,0]}",
+      "{\"digest\":1,\"util_weight\":[0,0,0,0],\"util_wsum\":[0,0,0,0,0]}",
+  };
+  for (const char* line : bad) {
+    std::istringstream in(
+        std::string("{\"t\":60,\"rack_free\":[],\"vc_queued\":[],"
+                    "\"vc_running\":[],\"vc_gpus\":[],\"util_deciles\":[]}\n") +
+        line + "\n");
+    TelemetryDigest digest;
+    bool found_digest = false;
+    std::string error;
+    const auto samples =
+        ClusterTimeSeries::ReadNdjson(in, &digest, &found_digest, &error);
+    EXPECT_EQ(samples.size(), 1u) << line;
+    EXPECT_FALSE(found_digest) << line;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << line << ": " << error;
+  }
+}
+
+TEST(TimeSeriesCodecTest, IntegersPastDoublePrecisionDecodeExactly) {
+  const std::string line =
+      "{\"t\":60,\"relax\":9007199254740993,\"rack_free\":[],\"vc_queued\":[],"
+      "\"vc_running\":[],\"vc_gpus\":[],\"util_deciles\":[0,0,0,0,0,0,0,0,0,0],"
+      "\"vc_blame_s\":[9007199254740993]}";
+  TelemetrySample sample;
   std::string error;
-  const auto samples =
-      ClusterTimeSeries::ReadNdjson(in, &digest, &found_digest, &error);
-  EXPECT_EQ(samples.size(), 1u);
-  EXPECT_FALSE(found_digest);
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  ASSERT_TRUE(TelemetrySampleFromNdjsonLine(line, &sample, &error)) << error;
+  EXPECT_EQ(sample.locality_relaxations, int64_t{9007199254740993});
+  EXPECT_EQ(sample.vc_blame_s, std::vector<int64_t>{9007199254740993});
+  EXPECT_EQ(ToNdjsonLine(sample), line);
+}
+
+// Samples carry no string member of their own, so the escape case for this
+// stream is a foreign member whose string holds every escaped byte: it must
+// be skipped cleanly and the sample still re-serialize byte-identically.
+TEST(TimeSeriesCodecTest, EscapedStringMembersAreSkippedCleanly) {
+  const TelemetrySample s = FullySetSample();
+  const std::string line = ToNdjsonLine(s);
+  const std::string with_detail =
+      line.substr(0, line.size() - 1) + ",\"detail\":\"" +
+      JsonEscape("quote\" backslash\\ newline\n ctrl\x01 }") + "\"}";
+  ASSERT_NE(with_detail.find("\\u0001"), std::string::npos) << with_detail;
+  TelemetrySample parsed;
+  std::string error;
+  ASSERT_TRUE(TelemetrySampleFromNdjsonLine(with_detail, &parsed, &error)) << error;
+  EXPECT_EQ(ToNdjsonLine(parsed), line);
 }
 
 // --------------------------------------------------------- sampling contract
