@@ -228,9 +228,10 @@ BENCHMARK(BM_EndToEndSimulation)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 // probes are memoized against Cluster::AllocVersion(), which is what keeps
 // this under budget — unmemoized they measured ~12%). The
 // telemetry sink is different in kind: it pays per simulated minute
-// (~1.5us/sample: a pre-reserved append plus one AR(1) step per running
-// job), and this workload simulates far more minutes (~45k for the drained
-// 1-day run) than it processes events (~8k), so the telemetry rows sit well
+// (~1.4us/sample on the drained 1-day BenchScale run: one AR(1) step per
+// running job plus the sample's shared-row commit; see docs/perf.md), and
+// this workload simulates far more minutes (~45k for the drained 1-day run)
+// than it processes events (~8k), so the telemetry rows sit well
 // above the event-proportional budget by construction — that is the price of
 // a fixed-cadence scan, not an append-path regression. Watch the per-sample
 // cost, not the ratio. The sinks live outside the loop, mirroring real usage

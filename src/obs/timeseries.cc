@@ -129,51 +129,45 @@ void AppendNdjsonLine(std::string& out, const TelemetrySample& s) {
   out += '}';
 }
 
-}  // namespace
-
-std::string ToNdjsonLine(const TelemetrySample& s) {
-  std::string out;
-  out.reserve(1024);
-  AppendNdjsonLine(out, s);
-  return out;
-}
-
-bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sample,
-                                   std::string* error) {
-  TelemetrySample s;
-  const auto read_member = [&s](size_t key, NdjsonObjectReader& r) {
+// Decodes one sample line: scalars and the fixed-size deciles into *s, the
+// variable-length arrays into *rows (every row is cleared first, so a member
+// the line omits reads back empty).
+bool DecodeSample(std::string_view line, TelemetrySample* s,
+                  TelemetrySampleRows* rows, std::string* error) {
+  rows->Clear();
+  const auto read_member = [s, rows](size_t key, NdjsonObjectReader& r) {
     switch (key) {
-      case kKeyTime: return r.ReadInt(&s.time);
-      case kKeyUsed: return r.ReadInt(&s.used_gpus);
-      case kKeyFree: return r.ReadInt(&s.free_gpus);
-      case kKeyOcc: return r.ReadDouble(&s.occupancy);
-      case kKeyRunning: return r.ReadInt(&s.running_jobs);
-      case kKeyQueued: return r.ReadInt(&s.queued_jobs);
-      case kKeyBusySrv: return r.ReadInt(&s.busy_servers);
-      case kKeyEmptySrv: return r.ReadInt(&s.empty_servers);
-      case kKeyRacksEmpty: return r.ReadInt(&s.racks_with_empty);
-      case kKeyOffline: return r.ReadInt(&s.offline_servers);
-      case kKeyRelax: return r.ReadInt(&s.locality_relaxations);
-      case kKeyBackoffs: return r.ReadInt(&s.backoffs);
-      case kKeyPreempt: return r.ReadInt(&s.preemptions);
-      case kKeyMigrate: return r.ReadInt(&s.migrations);
-      case kKeyFaultKill: return r.ReadInt(&s.fault_kills);
-      case kKeyLostGpuS: return r.ReadDouble(&s.lost_gpu_seconds);
-      case kKeyCkptWrites: return r.ReadInt(&s.ckpt_writes);
-      case kKeyCkptOverhead: return r.ReadDouble(&s.ckpt_overhead_gpu_seconds);
-      case kKeyCkptStall: return r.ReadDouble(&s.ckpt_stall_gpu_seconds);
-      case kKeyUtilExp: return r.ReadDouble(&s.util_expected_pct);
-      case kKeyUtilObs: return r.ReadDouble(&s.util_observed_pct);
-      case kKeyRackFree: return r.ReadIntArray(&s.rack_free_gpus);
-      case kKeyVcQueued: return r.ReadIntArray(&s.vc_queued);
-      case kKeyVcRunning: return r.ReadIntArray(&s.vc_running);
-      case kKeyVcGpus: return r.ReadIntArray(&s.vc_used_gpus);
+      case kKeyTime: return r.ReadInt(&s->time);
+      case kKeyUsed: return r.ReadInt(&s->used_gpus);
+      case kKeyFree: return r.ReadInt(&s->free_gpus);
+      case kKeyOcc: return r.ReadDouble(&s->occupancy);
+      case kKeyRunning: return r.ReadInt(&s->running_jobs);
+      case kKeyQueued: return r.ReadInt(&s->queued_jobs);
+      case kKeyBusySrv: return r.ReadInt(&s->busy_servers);
+      case kKeyEmptySrv: return r.ReadInt(&s->empty_servers);
+      case kKeyRacksEmpty: return r.ReadInt(&s->racks_with_empty);
+      case kKeyOffline: return r.ReadInt(&s->offline_servers);
+      case kKeyRelax: return r.ReadInt(&s->locality_relaxations);
+      case kKeyBackoffs: return r.ReadInt(&s->backoffs);
+      case kKeyPreempt: return r.ReadInt(&s->preemptions);
+      case kKeyMigrate: return r.ReadInt(&s->migrations);
+      case kKeyFaultKill: return r.ReadInt(&s->fault_kills);
+      case kKeyLostGpuS: return r.ReadDouble(&s->lost_gpu_seconds);
+      case kKeyCkptWrites: return r.ReadInt(&s->ckpt_writes);
+      case kKeyCkptOverhead: return r.ReadDouble(&s->ckpt_overhead_gpu_seconds);
+      case kKeyCkptStall: return r.ReadDouble(&s->ckpt_stall_gpu_seconds);
+      case kKeyUtilExp: return r.ReadDouble(&s->util_expected_pct);
+      case kKeyUtilObs: return r.ReadDouble(&s->util_observed_pct);
+      case kKeyRackFree: return r.ReadIntArray(&rows->rack_free_gpus);
+      case kKeyVcQueued: return r.ReadIntArray(&rows->vc_queued);
+      case kKeyVcRunning: return r.ReadIntArray(&rows->vc_running);
+      case kKeyVcGpus: return r.ReadIntArray(&rows->vc_used_gpus);
       case kKeyUtilDeciles: {
         size_t count = 0;
-        return r.ReadArray(std::span<int>(s.util_deciles), &count);
+        return r.ReadArray(std::span<int>(s->util_deciles), &count);
       }
-      case kKeyCkptWriters: return r.ReadIntArray(&s.ckpt_rack_writers);
-      case kKeyVcBlame: return r.ReadIntArray(&s.vc_blame_s);
+      case kKeyCkptWriters: return r.ReadIntArray(&rows->ckpt_rack_writers);
+      case kKeyVcBlame: return r.ReadIntArray(&rows->vc_blame_s);
     }
     return false;
   };
@@ -187,6 +181,57 @@ bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sampl
     }
     return false;
   }
+  return true;
+}
+
+// The one sharing rule: a row equal to the previous sample's row reuses its
+// storage; any other row gets its own.
+template <typename T>
+void CommitRow(SharedRow<T> TelemetrySample::*row, const std::vector<T>& staged,
+               const TelemetrySample* prev, TelemetrySample& s) {
+  if (prev != nullptr && prev->*row == staged) {
+    s.*row = prev->*row;
+  } else {
+    s.*row = staged;
+  }
+}
+
+void CommitRows(const TelemetrySampleRows& staged, const TelemetrySample* prev,
+                TelemetrySample& s) {
+  CommitRow(&TelemetrySample::rack_free_gpus, staged.rack_free_gpus, prev, s);
+  CommitRow(&TelemetrySample::vc_queued, staged.vc_queued, prev, s);
+  CommitRow(&TelemetrySample::vc_running, staged.vc_running, prev, s);
+  CommitRow(&TelemetrySample::vc_used_gpus, staged.vc_used_gpus, prev, s);
+  CommitRow(&TelemetrySample::ckpt_rack_writers, staged.ckpt_rack_writers, prev, s);
+  CommitRow(&TelemetrySample::vc_blame_s, staged.vc_blame_s, prev, s);
+}
+
+}  // namespace
+
+void TelemetrySampleRows::Clear() {
+  rack_free_gpus.clear();
+  vc_queued.clear();
+  vc_running.clear();
+  vc_used_gpus.clear();
+  ckpt_rack_writers.clear();
+  vc_blame_s.clear();
+}
+
+std::string ToNdjsonLine(const TelemetrySample& s) {
+  std::string out;
+  out.reserve(1024);
+  AppendNdjsonLine(out, s);
+  return out;
+}
+
+bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sample,
+                                   std::string* error) {
+  TelemetrySample s;
+  TelemetrySampleRows rows;
+  if (!DecodeSample(line, &s, &rows, error)) {
+    return false;
+  }
+  CommitRows(rows, nullptr, s);
   *sample = std::move(s);
   return true;
 }
@@ -200,14 +245,12 @@ void ClusterTimeSeries::Reserve(size_t samples) { samples_.reserve(samples); }
 
 void ClusterTimeSeries::Clear() {
   samples_.clear();
-  util_streams_.clear();
   last_index_ = 0;
   run_seed_ = 0;
 }
 
 void ClusterTimeSeries::BeginRun(uint64_t seed) {
   samples_.clear();
-  util_streams_.clear();
   last_index_ = 0;
   run_seed_ = seed;
 }
@@ -216,39 +259,37 @@ SimTime ClusterTimeSeries::NextSampleTime() const {
   return (last_index_ + 1) * period_;
 }
 
-TelemetrySample& ClusterTimeSeries::AppendSample(SimTime t) {
-  assert(t == NextSampleTime());
+void ClusterTimeSeries::AppendSample(
+    FunctionRef<void(TelemetrySample&, TelemetrySampleRows&)> fill) {
+  staging_.Clear();
+  const SimTime t = NextSampleTime();
   ++last_index_;
   TelemetrySample& sample = samples_.emplace_back();
   sample.time = t;
-  return sample;
+  fill(sample, staging_);
+  const size_t n = samples_.size();
+  CommitRows(staging_, n >= 2 ? &samples_[n - 2] : nullptr, sample);
 }
 
-double ClusterTimeSeries::ObserveUtilPct(JobId job, int attempt,
-                                         double expected_util) {
-  // Flat per-job slots: job ids are dense in practice, and this runs once per
-  // running job per sampled minute — a hash lookup here is measurable.
-  if (static_cast<size_t>(job) >= util_streams_.size()) {
-    util_streams_.resize(static_cast<size_t>(job) + 1);
-  }
-  UtilStream& stream = util_streams_[static_cast<size_t>(job)];
-  if (stream.attempt != attempt) {
-    // New attempt: reseed, stationary start (same construction as
-    // GangliaSampler::SampleSegment).
-    stream.attempt = attempt;
-    stream.seed = Mix64(run_seed_ ^ (static_cast<uint64_t>(job) << 18) ^
-                        (static_cast<uint64_t>(attempt) + 0x9E3779B97F4A7C15ull));
-    stream.x = sampler_.jitter_sigma * HashedNormal(stream.seed, 0);
-    stream.next_index = 1;
-  }
-  const double value = std::clamp(expected_util + stream.x, 0.0, 1.0) * 100.0;
+ClusterTimeSeries::UtilJitter ClusterTimeSeries::StartUtilJitter(JobId job,
+                                                                 int attempt) const {
+  UtilJitter jitter;
+  jitter.seed = Mix64(run_seed_ ^ (static_cast<uint64_t>(job) << 18) ^
+                      (static_cast<uint64_t>(attempt) + 0x9E3779B97F4A7C15ull));
+  jitter.x = sampler_.jitter_sigma * HashedNormal(jitter.seed, 0);
+  jitter.next_index = 1;
+  return jitter;
+}
+
+double ClusterTimeSeries::ObserveUtilPct(UtilJitter& jitter,
+                                         double expected_util) const {
+  const double value = std::clamp(expected_util + jitter.x, 0.0, 1.0) * 100.0;
   const double rho = sampler_.ar1_rho;
   const double innovation_sigma =
       sampler_.jitter_sigma * std::sqrt(1.0 - rho * rho);
-  stream.x = rho * stream.x +
+  jitter.x = rho * jitter.x +
              innovation_sigma *
-                 HashedNormal(stream.seed,
-                              static_cast<uint64_t>(stream.next_index++));
+                 HashedNormal(jitter.seed, static_cast<uint64_t>(jitter.next_index++));
   return value;
 }
 
@@ -269,7 +310,14 @@ std::vector<TelemetrySample> ClusterTimeSeries::ReadNdjson(
     *found_digest = false;
   }
   std::vector<TelemetrySample> samples;
+  TelemetrySampleRows rows;  // decode scratch, reused line to line
+  bool after_digest = false;
   ReadNdjsonLines(in, [&](std::string_view line, std::string* line_error) {
+    if (after_digest) {
+      *line_error = IsTelemetryDigestLine(line) ? "second digest line"
+                                                : "sample after the digest line";
+      return false;
+    }
     if (IsTelemetryDigestLine(line)) {
       TelemetryDigest parsed;
       if (!TelemetryDigestFromNdjsonLine(line, &parsed, line_error)) {
@@ -281,12 +329,14 @@ std::vector<TelemetrySample> ClusterTimeSeries::ReadNdjson(
       if (found_digest != nullptr) {
         *found_digest = true;
       }
+      after_digest = true;
       return true;
     }
     TelemetrySample sample;
-    if (!TelemetrySampleFromNdjsonLine(line, &sample, line_error)) {
+    if (!DecodeSample(line, &sample, &rows, line_error)) {
       return false;
     }
+    CommitRows(rows, samples.empty() ? nullptr : &samples.back(), sample);
     samples.push_back(std::move(sample));
     return true;
   }, error);

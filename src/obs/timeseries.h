@@ -17,6 +17,12 @@
 // running job per sampled minute, seeded per (run seed, job, attempt), so
 // the stream's observed utilization is deterministic and cross-checkable
 // against AnalyzeUtilization's digest (see rollup.h).
+//
+// Memory layout. A sample's variable-length arrays are immutable shared
+// rows (SharedRow): most of them repeat the previous minute's values, so
+// both the recorder and the reader give a new sample the previous sample's
+// row whenever the values are equal. A row is only ever replaced, never
+// written in place, so the sharing is invisible to readers of samples().
 
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
@@ -29,13 +35,17 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/common/function_ref.h"
+#include "src/common/shared_row.h"
 #include "src/common/sim_time.h"
 #include "src/telemetry/sampler.h"
 
 namespace philly {
 
 // One telemetry scan line. Scalars with default values are omitted from the
-// NDJSON encoding (event_log style); array fields are always present.
+// NDJSON encoding (event_log style); array fields are always present. The
+// variable-length arrays are shared rows (see the header comment); assign a
+// std::vector or a braced list to replace one.
 struct TelemetrySample {
   SimTime time = 0;  // sample timestamp, aligned to the sampling grid
 
@@ -51,12 +61,12 @@ struct TelemetrySample {
   int empty_servers = 0;
   int racks_with_empty = 0;
   int offline_servers = 0;
-  std::vector<int> rack_free_gpus;  // index = rack id
+  SharedRow<int> rack_free_gpus;  // index = rack id
 
   // Per-VC scheduler state (index = VC id).
-  std::vector<int> vc_queued;
-  std::vector<int> vc_running;
-  std::vector<int> vc_used_gpus;
+  SharedRow<int> vc_queued;
+  SharedRow<int> vc_running;
+  SharedRow<int> vc_used_gpus;
 
   // Busy servers bucketed by mean observed GPU utilization decile
   // (0-10%, ..., 90-100%); Fig 8-style fleet utilization shape. Fixed-size
@@ -76,7 +86,7 @@ struct TelemetrySample {
   // stay byte-identical to pre-checkpoint builds). ckpt_rack_writers[r] is
   // the number of writes draining rack r's storage at sample time; the
   // scalars are cumulative completed-write and cost counters.
-  std::vector<int> ckpt_rack_writers;
+  SharedRow<int> ckpt_rack_writers;
   int64_t ckpt_writes = 0;
   double ckpt_overhead_gpu_seconds = 0.0;
   double ckpt_stall_gpu_seconds = 0.0;
@@ -85,11 +95,26 @@ struct TelemetrySample {
   // (kNumBlameCodes entries per VC; see src/obs/span.h). Populated only when
   // the span tracer is attached — empty arrays are omitted from the encoding
   // so tracer-off streams stay byte-identical to pre-span builds.
-  std::vector<int64_t> vc_blame_s;
+  SharedRow<int64_t> vc_blame_s;
 
   // Busy-GPU-weighted utilization, percent.
   double util_expected_pct = 0.0;  // from the loss-curve expectation
   double util_observed_pct = 0.0;  // with the Ganglia AR(1) jitter join
+};
+
+// Staging buffers for one sample's array members, each with the meaning of
+// the TelemetrySample row of the same name. They are reused from sample to
+// sample, so filling one allocates nothing; ClusterTimeSeries turns them
+// into the sample's shared rows.
+struct TelemetrySampleRows {
+  std::vector<int> rack_free_gpus;
+  std::vector<int> vc_queued;
+  std::vector<int> vc_running;
+  std::vector<int> vc_used_gpus;
+  std::vector<int> ckpt_rack_writers;
+  std::vector<int64_t> vc_blame_s;
+
+  void Clear();  // empties every row, keeping its capacity
 };
 
 std::string ToNdjsonLine(const TelemetrySample& s);
@@ -99,11 +124,19 @@ bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sampl
 struct TelemetryDigest;  // rollup.h
 
 // Deterministic per-minute recorder. The owning ClusterSimulation drives it:
-// BeginRun once, then AppendSample at every grid time crossed by the clock,
-// filling the returned sample in place; ObserveUtilPct advances the per-job
-// AR(1) jitter stream (exactly once per running job per sampled minute).
+// BeginRun once, then AppendSample at every grid time crossed by the clock.
+// The utilization join keeps one UtilJitter per running attempt
+// (StartUtilJitter) and advances it with ObserveUtilPct exactly once per
+// sampled minute.
 class ClusterTimeSeries {
  public:
+  // AR(1) jitter state of one (job, attempt) observed-utilization stream.
+  struct UtilJitter {
+    uint64_t seed = 0;
+    int64_t next_index = 0;  // next HashedNormal index to consume
+    double x = 0.0;          // current AR(1) deviation
+  };
+
   explicit ClusterTimeSeries(SimDuration period = Minutes(1),
                              SamplerConfig sampler = {});
 
@@ -111,7 +144,7 @@ class ClusterTimeSeries {
 
   // Pre-sizes the sample buffer (cheap enabled-path, like EventLog::Reserve).
   void Reserve(size_t samples);
-  // Drops all samples and jitter state so the recorder can be reused.
+  // Drops all samples so the recorder can be reused.
   void Clear();
 
   // Starts a run: resets per-run state and seeds the utilization join.
@@ -122,14 +155,20 @@ class ClusterTimeSeries {
   // run's epoch, before any arrival).
   SimTime NextSampleTime() const;
 
-  // Appends a sample at grid time `t` (must equal NextSampleTime()) and
-  // returns it for the caller to fill.
-  TelemetrySample& AppendSample(SimTime t);
+  // Appends the sample at NextSampleTime(). `fill` sets the new sample's
+  // scalars and writes its array members into the staging rows, which start
+  // out empty; each row is then committed, sharing the previous sample's
+  // storage when the values are equal.
+  void AppendSample(FunctionRef<void(TelemetrySample&, TelemetrySampleRows&)> fill);
 
-  // Advances the AR(1) jitter stream for `job` and returns the observed
-  // utilization in percent for `expected_util` (a fraction). Streams are
-  // (re)seeded per (run seed, job, attempt).
-  double ObserveUtilPct(JobId job, int attempt, double expected_util);
+  // The jitter stream of `job`'s attempt `attempt`, seeded per (run seed,
+  // job, attempt) with a stationary start (GangliaSampler::SampleSegment's
+  // construction). Valid after BeginRun.
+  UtilJitter StartUtilJitter(JobId job, int attempt) const;
+
+  // Returns the observed utilization in percent for `expected_util` (a
+  // fraction) and advances `jitter` one AR(1) step.
+  double ObserveUtilPct(UtilJitter& jitter, double expected_util) const;
 
   const std::vector<TelemetrySample>& samples() const { return samples_; }
 
@@ -138,27 +177,22 @@ class ClusterTimeSeries {
   void WriteNdjson(std::ostream& out, const TelemetryDigest* digest = nullptr) const;
 
   // Reads a stream written by WriteNdjson. Stops at the first malformed line
-  // ("line N: ..." in *error). A trailing digest line, when present, is
-  // decoded into *digest (found_digest reports whether one was seen).
+  // ("line N: ..." in *error); a line after the digest line is malformed. A
+  // trailing digest line, when present, is decoded into *digest
+  // (found_digest reports whether one was seen). Read-back samples share
+  // equal rows with their predecessor just as recorded ones do.
   static std::vector<TelemetrySample> ReadNdjson(std::istream& in,
                                                  TelemetryDigest* digest,
                                                  bool* found_digest,
                                                  std::string* error);
 
  private:
-  struct UtilStream {
-    int attempt = -1;
-    uint64_t seed = 0;
-    int64_t next_index = 0;  // next HashedNormal index to consume
-    double x = 0.0;          // current AR(1) deviation
-  };
-
   SimDuration period_;
   SamplerConfig sampler_;
   uint64_t run_seed_ = 0;
   int64_t last_index_ = 0;  // grid index of the last appended sample
   std::vector<TelemetrySample> samples_;
-  std::vector<UtilStream> util_streams_;  // indexed by JobId (dense ids)
+  TelemetrySampleRows staging_;  // AppendSample's reused row buffers
 };
 
 }  // namespace philly

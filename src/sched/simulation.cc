@@ -1069,8 +1069,14 @@ double ClusterSimulation::ComputeExpectedUtil(const JobState& job,
 }
 
 void ClusterSimulation::OpenSegment(JobState& job) {
+  const AttemptRecord& attempt = job.record.attempts.back();
   job.segment_start = sim_.Now();
-  job.segment_util = ComputeExpectedUtil(job, job.record.attempts.back().placement);
+  job.segment_util = ComputeExpectedUtil(job, attempt.placement);
+  if (TelemetryJob* entry = TelemetryJobOf(job.spec.id); entry != nullptr) {
+    entry->segment_util = job.segment_util;
+    entry->jitter = config_.obs.timeseries->StartUtilJitter(job.spec.id, attempt.index);
+    entry->shards = attempt.placement.shards;
+  }
 }
 
 void ClusterSimulation::CloseSegment(JobState& job) {
@@ -1107,6 +1113,9 @@ void ClusterSimulation::RefreshCotenantSegments(const Placement& placement,
     if (std::abs(updated - job.segment_util) > kSegmentUtilEpsilon) {
       CloseSegment(job);
       job.segment_util = updated;
+      if (TelemetryJob* entry = TelemetryJobOf(id); entry != nullptr) {
+        entry->segment_util = updated;
+      }
     }
   }
 }
@@ -1116,6 +1125,12 @@ void ClusterSimulation::RunningSetInsert(const JobState& job) {
       job.spec.id, static_cast<size_t>(&job - jobs_.data())};
   const auto it = std::lower_bound(running_jobs_.begin(),
                                    running_jobs_.end(), entry);
+  if (config_.obs.timeseries != nullptr) {
+    TelemetryJob tj;  // the rest is filled in by OpenSegment
+    tj.vc = job.spec.vc;
+    tj.gpus = job.spec.num_gpus;
+    telemetry_jobs_.insert(telemetry_jobs_.begin() + (it - running_jobs_.begin()), tj);
+  }
   running_jobs_.insert(it, entry);
 }
 
@@ -1124,7 +1139,21 @@ void ClusterSimulation::RunningSetErase(const JobState& job) {
       running_jobs_.begin(), running_jobs_.end(), job.spec.id,
       [](const auto& entry, JobId id) { return entry.first < id; });
   assert(it != running_jobs_.end() && it->first == job.spec.id);
+  if (config_.obs.timeseries != nullptr) {
+    telemetry_jobs_.erase(telemetry_jobs_.begin() + (it - running_jobs_.begin()));
+  }
   running_jobs_.erase(it);
+}
+
+ClusterSimulation::TelemetryJob* ClusterSimulation::TelemetryJobOf(JobId id) {
+  if (config_.obs.timeseries == nullptr) {
+    return nullptr;
+  }
+  const auto it = std::lower_bound(
+      running_jobs_.begin(), running_jobs_.end(), id,
+      [](const auto& entry, JobId key) { return entry.first < key; });
+  assert(it != running_jobs_.end() && it->first == id);
+  return &telemetry_jobs_[static_cast<size_t>(it - running_jobs_.begin())];
 }
 
 void ClusterSimulation::TelemetryAdvance(SimTime target) {
@@ -1133,12 +1162,15 @@ void ClusterSimulation::TelemetryAdvance(SimTime target) {
     return;
   }
   while (ts->NextSampleTime() <= target) {
-    FillTelemetrySample(ts->AppendSample(ts->NextSampleTime()));
+    ts->AppendSample([this](TelemetrySample& s, TelemetrySampleRows& rows) {
+      FillTelemetrySample(s, rows);
+    });
   }
 }
 
-void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
-  ClusterTimeSeries* ts = config_.obs.timeseries;
+void ClusterSimulation::FillTelemetrySample(TelemetrySample& s,
+                                            TelemetrySampleRows& rows) {
+  const ClusterTimeSeries* ts = config_.obs.timeseries;
 
   // Cluster occupancy and fragmentation, straight off the placement index.
   s.used_gpus = cluster_.NumUsedGpus();
@@ -1146,19 +1178,15 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
   s.occupancy = cluster_.Occupancy();
   s.racks_with_empty = cluster_.RacksWithEmptyServers();
   s.offline_servers = cluster_.NumOfflineServers();
-  s.rack_free_gpus.reserve(static_cast<size_t>(cluster_.NumRacks()));
   for (RackId r = 0; r < cluster_.NumRacks(); ++r) {
-    s.rack_free_gpus.push_back(cluster_.RackFreeGpus(r));
+    rows.rack_free_gpus.push_back(cluster_.RackFreeGpus(r));
   }
 
   // Per-VC scheduler state.
-  s.vc_queued.reserve(vcs_.size());
-  s.vc_running.reserve(vcs_.size());
-  s.vc_used_gpus.reserve(vcs_.size());
   for (const VcState& vc : vcs_) {
-    s.vc_queued.push_back(static_cast<int>(vc.queue.size()));
-    s.vc_running.push_back(0);  // filled from the running set below
-    s.vc_used_gpus.push_back(vc.used_gpus);
+    rows.vc_queued.push_back(static_cast<int>(vc.queue.size()));
+    rows.vc_running.push_back(0);  // filled from the running set below
+    rows.vc_used_gpus.push_back(vc.used_gpus);
     s.queued_jobs += static_cast<int>(vc.queue.size());
   }
 
@@ -1171,16 +1199,13 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
   double exp_weighted = 0.0;
   double obs_weighted = 0.0;
   int64_t weight = 0;
-  for (const auto& [id, index] : running_jobs_) {
-    const JobState& job = jobs_[index];
-    const double obs_pct = ts->ObserveUtilPct(
-        id, job.record.attempts.back().index, job.segment_util);
-    const int gpus = job.spec.num_gpus;
-    exp_weighted += job.segment_util * 100.0 * gpus;
-    obs_weighted += obs_pct * gpus;
-    weight += gpus;
-    ++s.vc_running[static_cast<size_t>(job.spec.vc)];
-    for (const auto& shard : job.record.attempts.back().placement.shards) {
+  for (TelemetryJob& job : telemetry_jobs_) {
+    const double obs_pct = ts->ObserveUtilPct(job.jitter, job.segment_util);
+    exp_weighted += job.segment_util * 100.0 * job.gpus;
+    obs_weighted += obs_pct * job.gpus;
+    weight += job.gpus;
+    ++rows.vc_running[static_cast<size_t>(job.vc)];
+    for (const auto& shard : job.shards) {
       const auto sv = static_cast<size_t>(shard.server);
       if (telemetry_srv_gpus_[sv] == 0) {
         telemetry_touched_.push_back(shard.server);
@@ -1228,9 +1253,8 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
   // model is disabled so streams stay byte-identical to pre-checkpoint builds.
   if (ckpt_model_ != nullptr) {
     const int racks = cluster_.NumRacks();
-    s.ckpt_rack_writers.resize(racks);
     for (int r = 0; r < racks; ++r) {
-      s.ckpt_rack_writers[r] = ckpt_model_->Writers(r);
+      rows.ckpt_rack_writers.push_back(ckpt_model_->Writers(r));
     }
     s.ckpt_writes = result_.ckpt_writes_completed;
     s.ckpt_overhead_gpu_seconds = result_.ckpt_overhead_gpu_seconds;
@@ -1240,7 +1264,7 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
   // Per-VC x per-blame-code attributed seconds, cumulative (left empty — and
   // omitted from the encoding — unless the span tracer is attached).
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-    spans->FillVcBlame(s.vc_blame_s);
+    spans->FillVcBlame(rows.vc_blame_s);
   }
 }
 

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -231,7 +232,10 @@ class ClusterSimulation {
   // Emits every unsampled grid point <= target; wired to the simulator's
   // time-advance hook so sampling adds zero simulator events.
   void TelemetryAdvance(SimTime target);
-  void FillTelemetrySample(TelemetrySample& sample);
+  void FillTelemetrySample(TelemetrySample& sample, TelemetrySampleRows& rows);
+  // The running job's utilization-join entry, or null when the sink is off.
+  struct TelemetryJob;
+  TelemetryJob* TelemetryJobOf(JobId id);
 
   JobState& StateOf(JobId id);
   VcState& VcOf(const JobState& job) { return vcs_[static_cast<size_t>(job.spec.vc)]; }
@@ -300,11 +304,23 @@ class ClusterSimulation {
   // SetExecutedEpochs (TakeSnapshot reads it in O(1)).
   int64_t executed_epochs_total_ = 0;
   // Jobs holding cluster GPUs right now, sorted by id (== jobs_ index order),
-  // paired with their jobs_ index. The per-minute sampler iterates it for the
-  // utilization join, and the preemption/priority-suspension victim scans use
-  // it instead of walking every job in the trace. Prerun attempts hold pool
+  // paired with their jobs_ index. The preemption/priority-suspension victim
+  // scans use it instead of walking every job in the trace. Prerun attempts hold pool
   // slots, not cluster GPUs, and are excluded.
   std::vector<std::pair<JobId, size_t>> running_jobs_;
+  // The per-minute utilization join's view of each running job, parallel to
+  // running_jobs_ (same id order) and maintained only while the telemetry
+  // sink is attached. An entry lives for one attempt — migration and
+  // suspension always start a new one — so its attempt and placement are
+  // fixed for its lifetime and the sampler never touches JobState.
+  struct TelemetryJob {
+    int vc = 0;
+    int gpus = 0;
+    double segment_util = 0.0;  // mirrors JobState::segment_util
+    ClusterTimeSeries::UtilJitter jitter;
+    std::span<const PlacementShard> shards;  // the attempt's placement
+  };
+  std::vector<TelemetryJob> telemetry_jobs_;
   // Per-pass scratch, reserved once and reused so a scheduling pass performs
   // no allocations in steady state.
   std::vector<size_t> pass_vc_order_;

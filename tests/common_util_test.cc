@@ -1,4 +1,5 @@
-// Tests for distributions, CSV, strings, table, and sim-time helpers.
+// Tests for distributions, CSV, strings, table, shared-row, and sim-time
+// helpers.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "src/common/csv.h"
 #include "src/common/distributions.h"
+#include "src/common/shared_row.h"
 #include "src/common/sim_time.h"
 #include "src/common/strings.h"
 #include "src/common/table.h"
@@ -217,6 +219,52 @@ TEST(TextTableTest, RuleInsertion) {
     ++pos;
   }
   EXPECT_GE(rules, 2u);
+}
+
+// --------------------------------------------------------------- shared_row
+
+TEST(SharedRowTest, EmptyRowOwnsNoStorage) {
+  const SharedRow<int> row;
+  EXPECT_TRUE(row.empty());
+  EXPECT_EQ(row.size(), 0u);
+  EXPECT_EQ(row.data(), nullptr);
+  EXPECT_EQ(row.begin(), row.end());
+  EXPECT_EQ(row, std::vector<int>{});
+  EXPECT_EQ(SharedRow<int>(std::vector<int>{}).data(), nullptr);
+}
+
+TEST(SharedRowTest, CopiesShareOneBlockAndAssignmentReplaces) {
+  SharedRow<int64_t> a = {1, 2, 9007199254740993};
+  SharedRow<int64_t> b = a;
+  EXPECT_EQ(a.data(), b.data());
+  EXPECT_EQ(b[2], 9007199254740993);
+
+  b = std::vector<int64_t>{1, 2, 9007199254740993};
+  EXPECT_NE(a.data(), b.data());
+  EXPECT_EQ(a, b);  // equal values in distinct blocks
+
+  b = {7};
+  EXPECT_EQ(b, std::vector<int64_t>{7});
+  EXPECT_EQ(a, (std::vector<int64_t>{1, 2, 9007199254740993}));
+
+  SharedRow<int64_t> moved = std::move(a);
+  EXPECT_EQ(moved.size(), 3u);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+}
+
+TEST(SharedRowTest, ComparesAndIteratesLikeAVector) {
+  const std::vector<int> values = {4, 0, 8};
+  const SharedRow<int> row = values;
+  EXPECT_EQ(row, values);
+  EXPECT_EQ(values, row);
+  EXPECT_NE(row, (std::vector<int>{4, 0}));
+  EXPECT_NE(row, (std::vector<int>{4, 0, 9}));
+  int sum = 0;
+  for (const int v : row) {
+    sum += v;
+  }
+  EXPECT_EQ(sum, 12);
+  EXPECT_EQ(std::vector<int>(row.begin(), row.end()), values);
 }
 
 // ----------------------------------------------------------------- sim_time

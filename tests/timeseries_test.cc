@@ -1,8 +1,8 @@
 // Tests for the telemetry stream: NDJSON codec round-trips, the per-minute
-// sampling contract, digest self-checks (sample half and job half), rollup
-// windowing/merging, and the two contracts shared with the event log —
-// byte-identical streams regardless of pool thread count, and zero
-// perturbation of simulation output when the sink is attached.
+// sampling contract, shared array rows, digest self-checks (sample half and
+// job half), rollup windowing/merging, and the two contracts shared with the
+// event log — byte-identical streams regardless of pool thread count, and
+// zero perturbation of simulation output when the sink is attached.
 //
 // TelemetryStreamDeterministicAcrossPoolThreads carries the `tsan` ctest
 // label via this binary (see tests/CMakeLists.txt).
@@ -22,6 +22,7 @@
 #include "src/core/runner.h"
 #include "src/fault/fault_process.h"
 #include "src/obs/rollup.h"
+#include "src/obs/span.h"
 
 namespace philly {
 namespace {
@@ -35,6 +36,89 @@ std::string NdjsonOf(const ClusterTimeSeries& ts,
   std::ostringstream out;
   ts.WriteNdjson(out, digest);
   return out.str();
+}
+
+std::vector<TelemetrySample> ReadBack(const std::string& ndjson) {
+  std::istringstream in(ndjson);
+  TelemetryDigest digest;
+  bool found_digest = false;
+  std::string error;
+  std::vector<TelemetrySample> samples =
+      ClusterTimeSeries::ReadNdjson(in, &digest, &found_digest, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  return samples;
+}
+
+// Where sample i's row equals sample i-1's, both must hold the same storage.
+// Returns how many non-empty rows were shared, so callers can check that the
+// rule was exercised at all.
+template <typename Row>
+int ExpectEqualRowsShared(const std::vector<TelemetrySample>& samples,
+                          Row TelemetrySample::*row, const char* name) {
+  int shared = 0;
+  for (size_t i = 1; i < samples.size(); ++i) {
+    const Row& prev = samples[i - 1].*row;
+    const Row& cur = samples[i].*row;
+    if (!cur.empty() && cur == prev) {
+      EXPECT_EQ(cur.data(), prev.data()) << name << " at sample " << i;
+      ++shared;
+    }
+  }
+  return shared;
+}
+
+// Every row present in the run must have been shared at least once; the span
+// tracer is always attached, and `with_ckpt` says whether the checkpoint I/O
+// model was on.
+void ExpectSharing(const std::vector<TelemetrySample>& samples, bool with_ckpt) {
+  EXPECT_GT(ExpectEqualRowsShared(samples, &TelemetrySample::rack_free_gpus,
+                                  "rack_free_gpus"), 0);
+  EXPECT_GT(ExpectEqualRowsShared(samples, &TelemetrySample::vc_queued, "vc_queued"), 0);
+  EXPECT_GT(ExpectEqualRowsShared(samples, &TelemetrySample::vc_running, "vc_running"), 0);
+  EXPECT_GT(ExpectEqualRowsShared(samples, &TelemetrySample::vc_used_gpus,
+                                  "vc_used_gpus"), 0);
+  EXPECT_GT(ExpectEqualRowsShared(samples, &TelemetrySample::vc_blame_s, "vc_blame_s"), 0);
+  const int ckpt = ExpectEqualRowsShared(samples, &TelemetrySample::ckpt_rack_writers,
+                                         "ckpt_rack_writers");
+  if (with_ckpt) {
+    EXPECT_GT(ckpt, 0);
+  }
+}
+
+// Field-by-field comparison, so a mismatch names the field and the sample.
+#define EXPECT_SAMPLE_FIELD_EQ(a, b, field) \
+  EXPECT_EQ((a).field, (b).field) << #field << " at sample " << index
+
+void ExpectSamplesEqual(const TelemetrySample& a, const TelemetrySample& b,
+                        size_t index) {
+  EXPECT_SAMPLE_FIELD_EQ(a, b, time);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, used_gpus);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, free_gpus);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, occupancy);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, running_jobs);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, queued_jobs);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, busy_servers);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, empty_servers);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, racks_with_empty);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, offline_servers);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, rack_free_gpus);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, vc_queued);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, vc_running);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, vc_used_gpus);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, util_deciles);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, locality_relaxations);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, backoffs);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, preemptions);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, migrations);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, fault_kills);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, lost_gpu_seconds);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, ckpt_rack_writers);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, ckpt_writes);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, ckpt_overhead_gpu_seconds);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, ckpt_stall_gpu_seconds);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, vc_blame_s);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, util_expected_pct);
+  EXPECT_SAMPLE_FIELD_EQ(a, b, util_observed_pct);
 }
 
 TelemetrySample FullySetSample() {
@@ -176,6 +260,39 @@ TEST(TimeSeriesCodecTest, ReadNdjsonReportsMalformedLine) {
   }
 }
 
+// The digest closes the stream: a sample after it, or a second digest, is a
+// malformed stream rather than a sample appended to the digested ones or a
+// digest that silently replaces the first.
+TEST(TimeSeriesCodecTest, SampleAfterTheDigestLineIsRejected) {
+  TelemetrySample s = FullySetSample();
+  const std::string first = ToNdjsonLine(s);
+  s.time += Minutes(1);
+  std::istringstream in(first + "\n" + ToNdjsonLine(TelemetryDigest{}) + "\n" +
+                        ToNdjsonLine(s) + "\n");
+  TelemetryDigest digest;
+  bool found_digest = false;
+  std::string error;
+  const auto samples = ClusterTimeSeries::ReadNdjson(in, &digest, &found_digest, &error);
+  EXPECT_EQ(samples.size(), 1u);
+  EXPECT_NE(error.find("line 3: sample after the digest line"), std::string::npos)
+      << error;
+}
+
+TEST(TimeSeriesCodecTest, SecondDigestLineIsRejected) {
+  TelemetryDigest first;
+  first.samples = 1;
+  TelemetryDigest second;
+  second.samples = 2;
+  std::istringstream in(ToNdjsonLine(FullySetSample()) + "\n" + ToNdjsonLine(first) +
+                        "\n" + ToNdjsonLine(second) + "\n");
+  TelemetryDigest digest;
+  bool found_digest = false;
+  std::string error;
+  ClusterTimeSeries::ReadNdjson(in, &digest, &found_digest, &error);
+  EXPECT_NE(error.find("line 3: second digest line"), std::string::npos) << error;
+  EXPECT_EQ(digest.samples, 1);
+}
+
 TEST(TimeSeriesCodecTest, IntegersPastDoublePrecisionDecodeExactly) {
   const std::string line =
       "{\"t\":60,\"relax\":9007199254740993,\"rack_free\":[],\"vc_queued\":[],"
@@ -274,6 +391,83 @@ TEST(ClusterTimeSeriesTest, FullRunStreamRoundTripsByteIdentically) {
   reserialized += ToNdjsonLine(read_digest);
   reserialized += '\n';
   EXPECT_EQ(reserialized, ndjson);
+}
+
+// ---------------------------------------------------------- shared rows
+
+// Consecutive samples whose arrays are equal hold one copy of them, both as
+// recorded and as read back.
+TEST(ClusterTimeSeriesTest, EqualRowsShareStorageWithThePreviousSample) {
+  ClusterTimeSeries ts;
+  SpanTracer spans;
+  ExperimentConfig config = SmallConfig(7);
+  config.simulation.obs.timeseries = &ts;
+  config.simulation.obs.spans = &spans;
+  RunExperiment(config);
+  ASSERT_GT(ts.samples().size(), 100u);
+
+  ExpectSharing(ts.samples(), /*with_ckpt=*/false);
+  const std::vector<TelemetrySample> parsed = ReadBack(NdjsonOf(ts));
+  ASSERT_EQ(parsed.size(), ts.samples().size());
+  ExpectSharing(parsed, /*with_ckpt=*/false);
+}
+
+// A row is replaced, never written through: assigning one sample's row
+// leaves every sample that shared it as it was.
+TEST(ClusterTimeSeriesTest, AssigningARowLeavesItsNeighboursUnchanged) {
+  ClusterTimeSeries ts;
+  ExperimentConfig config = SmallConfig(7);
+  config.simulation.obs.timeseries = &ts;
+  RunExperiment(config);
+  std::vector<TelemetrySample> samples = ts.samples();
+  size_t i = 1;
+  while (i + 1 < samples.size() &&
+         !(samples[i].vc_queued == samples[i - 1].vc_queued &&
+           samples[i].vc_queued == samples[i + 1].vc_queued)) {
+    ++i;
+  }
+  ASSERT_LT(i + 1, samples.size()) << "no run of three equal vc_queued rows";
+  const std::vector<int> before(samples[i].vc_queued.begin(),
+                                samples[i].vc_queued.end());
+
+  samples[i].vc_queued = {-1, -2};
+  EXPECT_EQ(samples[i].vc_queued, (std::vector<int>{-1, -2}));
+  EXPECT_EQ(samples[i - 1].vc_queued, before);
+  EXPECT_EQ(samples[i + 1].vc_queued, before);
+  EXPECT_EQ(ts.samples()[i].vc_queued, before);
+
+  samples[i].vc_queued = std::vector<int>{};
+  EXPECT_TRUE(samples[i].vc_queued.empty());
+  EXPECT_EQ(samples[i - 1].vc_queued, before);
+  EXPECT_EQ(samples[i + 1].vc_queued, before);
+}
+
+// Every array member populated: faults, cooperative-stagger checkpoints and
+// the span tracer. The read-back samples equal the recorded ones field by
+// field and share rows the same way.
+TEST(ClusterTimeSeriesTest, FaultedCheckpointedTracedRunReadsBackFieldByField) {
+  ClusterTimeSeries ts(Minutes(10));
+  SpanTracer spans;
+  ExperimentConfig config = SmallConfig(29);
+  config.simulation.fault = FaultProcessConfig::Calibrated();
+  config.simulation.fault.server_crash_mtbf_hours = 24.0 * 8;
+  config.simulation.scheduler.checkpoint_period = Minutes(30);
+  config.simulation.scheduler.checkpoint_policy = CheckpointPolicy::kCooperativeStagger;
+  config.simulation.ckpt_io.rack_bandwidth_gbps = 0.5;
+  config.simulation.obs.timeseries = &ts;
+  config.simulation.obs.spans = &spans;
+  const auto run = RunExperiment(config);
+  ASSERT_GT(run.result.machine_fault_kills, 0);
+  ASSERT_GT(run.result.ckpt_writes_completed, 0);
+
+  const std::vector<TelemetrySample>& recorded = ts.samples();
+  const std::vector<TelemetrySample> parsed = ReadBack(NdjsonOf(ts));
+  ASSERT_EQ(parsed.size(), recorded.size());
+  for (size_t i = 0; i < recorded.size(); ++i) {
+    ExpectSamplesEqual(parsed[i], recorded[i], i);
+  }
+  ExpectSharing(recorded, /*with_ckpt=*/true);
+  ExpectSharing(parsed, /*with_ckpt=*/true);
 }
 
 TEST(ClusterTimeSeriesTest, TamperedStreamFailsTheSampleDigest) {
