@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "src/workload/model_zoo.h"
 
@@ -61,11 +62,7 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
     ckpt_wait_queue_.assign(static_cast<size_t>(cluster_.NumRacks()), {});
     ckpt_stagger_slot_.assign(static_cast<size_t>(cluster_.NumRacks()), 0);
   }
-  SchedulerConfig::RetryPolicyKind kind = config_.scheduler.retry_policy;
-  if (config_.scheduler.adaptive_retry) {
-    kind = SchedulerConfig::RetryPolicyKind::kAdaptive;
-  }
-  switch (kind) {
+  switch (config_.scheduler.retry_policy) {
     case SchedulerConfig::RetryPolicyKind::kAdaptive:
       retry_policy_ =
           std::make_unique<AdaptiveRetryPolicy>(config_.scheduler.max_retries);
@@ -144,12 +141,36 @@ SchedEvent* ClusterSimulation::EmitEvent(SchedEventKind kind, const JobState* jo
   return &event;
 }
 
-void ClusterSimulation::RecordEvalFailure(DelayCause cause) {
-  if (fair_share_evals_ == nullptr) {
+void ClusterSimulation::NoteEvalFailure(JobState& job, bool over_quota) {
+  const DelayCause cause =
+      over_quota ? DelayCause::kFairShare : DelayCause::kFragmentation;
+  AttributeWaitTime(job, cause);
+  if (fair_share_evals_ != nullptr) {
+    (over_quota ? fair_share_evals_ : fragmentation_evals_)->Increment();
+  }
+  SpanNoteEvalFail(job, cause);
+  ++job.eval_failures;
+}
+
+void ClusterSimulation::EmitScheduleEvent(const JobState& job,
+                                          std::string_view detail,
+                                          bool out_of_order) {
+  SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job);
+  if (e == nullptr) {
     return;
   }
-  (cause == DelayCause::kFairShare ? fair_share_evals_ : fragmentation_evals_)
-      ->Increment();
+  const WaitRecord& wait = job.record.waits.back();
+  const AttemptRecord& attempt = job.record.attempts.back();
+  e->attempt = attempt.index;
+  e->ready_time = wait.ready_time;
+  e->wait = wait.wait;
+  e->fair_share_time = wait.fair_share_time;
+  e->fragmentation_time = wait.fragmentation_time;
+  e->sched_attempts = wait.sched_attempts;
+  e->out_of_order = out_of_order;
+  e->benign = out_of_order && job.record.out_of_order_benign;
+  e->placement = EncodePlacement(attempt.placement);
+  e->detail = detail;
 }
 
 void ClusterSimulation::SpanNoteEvalFail(JobState& job, DelayCause cause) {
@@ -202,10 +223,10 @@ SimulationResult ClusterSimulation::Run() {
     }
     if (fault_process_.enabled()) {
       for (ServerId s = 0; s < cluster_.NumServers(); ++s) {
-        ScheduleNextServerFault(s, 0);
+        ScheduleNextFault(/*rack=*/-1, s);
       }
       for (RackId r = 0; r < cluster_.NumRacks(); ++r) {
-        ScheduleNextRackFault(r, 0);
+        ScheduleNextFault(r, /*server=*/-1);
       }
       for (const FaultEvent& scripted : fault_process_.config().scripted) {
         sim_.ScheduleAt(scripted.at,
@@ -248,7 +269,6 @@ void ClusterSimulation::OnArrival(JobId id) {
   EmitEvent(SchedEventKind::kSubmit, &job);
   if (job.spec.num_gpus > cluster_.NumGpus()) {
     // Cannot ever be satisfied; reject at submission.
-    job.phase = Phase::kRunning;  // FinishJob expects a non-queued phase
     FinishJob(job, JobStatus::kUnsuccessful);
     return;
   }
@@ -278,11 +298,7 @@ void ClusterSimulation::OnArrival(JobId id) {
     WaitRecord wait;
     wait.ready_time = sim_.Now();
     job.record.waits.push_back(wait);
-    if (SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job); e != nullptr) {
-      e->attempt = job.record.attempts.back().index;
-      e->ready_time = sim_.Now();
-      e->detail = "prerun";
-    }
+    EmitScheduleEvent(job, "prerun", /*out_of_order=*/false);
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
       // Pool attempts skip the queue entirely: open the running span directly
       // (the zero-length pseudo-wait produces no queued span).
@@ -292,15 +308,7 @@ void ClusterSimulation::OnArrival(JobId id) {
     sim_.ScheduleAfter(duration, [this, id, caught] { OnPrerunEnd(id, caught); });
     return;
   }
-  job.phase = Phase::kQueued;
-  job.ready_time = sim_.Now();
-  job.wait = WaitRecord{};
-  job.wait.ready_time = sim_.Now();
-  job.eval_failures = 0;
-  job.last_eval_time = -1;
-  job.last_cause = DelayCause::kNone;
-  job.relax_emitted = 0;
-  EnqueueSorted(job);
+  EnterQueue(job);
   EmitEvent(SchedEventKind::kQueued, &job);
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
     spans->OnEnqueue(job.spec.id, job.spec.vc, job.spec.user,
@@ -317,45 +325,44 @@ void ClusterSimulation::OnPrerunEnd(JobId id, bool caught) {
   job.record.gpu_seconds += attempt.GpuTime();
   if (!caught) {
     Requeue(job);
-    RequestSchedulingPass(0);
-    return;
+  } else {
+    ++result_.prerun_catches;
+    if (!ResolveFailedTrial(job, attempt)) {
+      return;  // the job finished: nothing new to schedule
+    }
   }
-  ++result_.prerun_catches;
+  RequestSchedulingPass(0);
+}
+
+bool ClusterSimulation::ResolveFailedTrial(JobState& job, AttemptRecord& attempt) {
   ++job.failure_trials_used;
+  job.failing_resume = 0;  // the trial fired; nothing carries forward
   attempt.failed = true;
   attempt.true_reason = job.plan.reason;
   attempt.log_tail = synthesizer_.LinesFor(job.plan.reason, rng_);
   const FailureReason classified = classifier_.Classify(attempt.log_tail);
   retry_policy_->ObserveFailure(job.spec.user, classified);
-  const int failure_index = job.failure_trials_used - 1;
-  const bool more_trials = job.failure_trials_used < job.plan.num_failure_trials;
-  const bool retry =
-      retry_policy_->ShouldRetryFor(job.spec.user, classified, failure_index);
-  if (more_trials) {
-    if (retry) {
-      Requeue(job);
-      RequestSchedulingPass(0);
-    } else {
-      FinishJob(job, JobStatus::kUnsuccessful);
-    }
-    return;
-  }
-  switch (job.plan.disposition) {
-    case PostFailureDisposition::kUnsuccessful:
-      FinishJob(job, JobStatus::kUnsuccessful);
-      break;
-    case PostFailureDisposition::kKilledByUser:
-      FinishJob(job, JobStatus::kKilled);
-      break;
-    case PostFailureDisposition::kRecoversClean:
-      if (retry) {
-        Requeue(job);
-        RequestSchedulingPass(0);
-      } else {
+  if (job.failure_trials_used >= job.plan.num_failure_trials) {
+    // Out of failure trials: the plan decides how the job ends, and a job
+    // that would recover clean still needs the retry the policy may deny.
+    switch (job.plan.disposition) {
+      case PostFailureDisposition::kUnsuccessful:
         FinishJob(job, JobStatus::kUnsuccessful);
-      }
-      break;
+        return false;
+      case PostFailureDisposition::kKilledByUser:
+        FinishJob(job, JobStatus::kKilled);
+        return false;
+      case PostFailureDisposition::kRecoversClean:
+        break;
+    }
   }
+  if (!retry_policy_->ShouldRetryFor(job.spec.user, classified,
+                                     job.failure_trials_used - 1)) {
+    FinishJob(job, JobStatus::kUnsuccessful);
+    return false;
+  }
+  Requeue(job);
+  return true;
 }
 
 void ClusterSimulation::RequestSchedulingPass(SimDuration delay) {
@@ -503,14 +510,7 @@ void ClusterSimulation::SchedulingPass() {
       }
       if (job.spec.num_gpus >= failed_demand_at_level[static_cast<size_t>(level)]) {
         // A smaller-or-equal request already failed at this level this pass.
-        const DelayCause cause =
-            VcOf(job).used_gpus >= VcOf(job).config.quota_gpus
-                ? DelayCause::kFairShare
-                : DelayCause::kFragmentation;
-        AttributeWaitTime(job, cause);
-        RecordEvalFailure(cause);
-        SpanNoteEvalFail(job, cause);
-        ++job.eval_failures;
+        NoteEvalFailure(job, VcOf(job).used_gpus >= VcOf(job).config.quota_gpus);
         any_waiting = true;
         earlier_waiting = true;
         earlier_min_demand = std::min(earlier_min_demand, job.spec.num_gpus);
@@ -582,12 +582,7 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
     }
   }
   if (!placement.has_value()) {
-    const DelayCause cause =
-        over_quota ? DelayCause::kFairShare : DelayCause::kFragmentation;
-    AttributeWaitTime(job, cause);
-    RecordEvalFailure(cause);
-    SpanNoteEvalFail(job, cause);
-    ++job.eval_failures;
+    NoteEvalFailure(job, over_quota);
     return false;
   }
 
@@ -620,20 +615,7 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
       ++result_.out_of_order_benign;
     }
   }
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job); e != nullptr) {
-    const WaitRecord& wait = job.record.waits.back();
-    const AttemptRecord& attempt = job.record.attempts.back();
-    e->attempt = attempt.index;
-    e->ready_time = wait.ready_time;
-    e->wait = wait.wait;
-    e->fair_share_time = wait.fair_share_time;
-    e->fragmentation_time = wait.fragmentation_time;
-    e->sched_attempts = wait.sched_attempts;
-    e->out_of_order = benign_pending;
-    e->benign = benign_pending && job.record.out_of_order_benign;
-    e->placement = EncodePlacement(attempt.placement);
-    e->detail = "pass";
-  }
+  EmitScheduleEvent(job, "pass", benign_pending);
   return true;
 }
 
@@ -915,40 +897,47 @@ void ClusterSimulation::CkptBeginWrite(JobState& job) {
   }
 }
 
-void ClusterSimulation::CkptCompleteWrite(JobState& job) {
-  const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - job.ckpt_write_start;
+SimDuration ClusterSimulation::CkptEndWrite(JobState& job,
+                                            std::string_view detail) {
+  const SimDuration elapsed = sim_.Now() - job.ckpt_write_start;
   const SimDuration overhead = std::min(elapsed, job.ckpt_nominal);
   const SimDuration stall = elapsed - overhead;
   const int gpus = job.record.attempts.back().placement.NumGpus();
   job.ckpt_writing = false;
   job.ckpt_time_attempt += elapsed;
-  job.ckpt_durable = job.clean_executed + job.ckpt_progress_at_write;
-  ++result_.ckpt_writes_completed;
   result_.ckpt_overhead_gpu_seconds += static_cast<double>(overhead) * gpus;
   result_.ckpt_stall_gpu_seconds += static_cast<double>(stall) * gpus;
+  if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
+    e->attempt = job.record.attempts.back().index;
+    e->rack = job.ckpt_rack;
+    e->delay = elapsed;
+    e->detail = detail;
+  }
+  return stall;
+}
+
+void ClusterSimulation::CkptCompleteWrite(JobState& job) {
+  const SimDuration stall = CkptEndWrite(job, /*detail=*/{});
+  job.ckpt_durable = job.clean_executed + job.ckpt_progress_at_write;
+  ++result_.ckpt_writes_completed;
   // Resume training for the remaining progress (strictly positive: a write
   // never begins once the attempt's progress target is reached).
   const JobId id = job.spec.id;
   job.end_event =
       sim_.ScheduleAfter(job.ckpt_progress_needed - job.ckpt_progress_at_write,
                          [this, id] { OnAttemptEnd(id); });
-  CkptScheduleTrigger(job, now + job.ckpt_period);
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
-    e->attempt = job.record.attempts.back().index;
-    e->rack = job.ckpt_rack;
-    e->delay = elapsed;
-  }
+  CkptScheduleTrigger(job, sim_.Now() + job.ckpt_period);
   if (stall > 0) {
     if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptStall, &job);
         e != nullptr) {
       e->attempt = job.record.attempts.back().index;
       e->rack = job.ckpt_rack;
       e->delay = stall;
-      e->lost_gpu_seconds = static_cast<double>(stall) * gpus;
+      e->lost_gpu_seconds = static_cast<double>(stall) *
+                            job.record.attempts.back().placement.NumGpus();
     }
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-      spans->OnCkptStall(job.spec.id, now, stall, "write");
+      spans->OnCkptStall(job.spec.id, sim_.Now(), stall, "write");
     }
   }
 }
@@ -1007,29 +996,15 @@ void ClusterSimulation::CkptOnAttemptStopped(JobState& job) {
     job.ckpt_waiting = false;
   }
   if (job.ckpt_writing) {
-    // Abort mid-write: the partial elapsed time is still paid for (split
-    // into overhead and stall like a completed write), but nothing becomes
-    // durable. The freed bandwidth immediately speeds up the rack's other
-    // writers, and a deferred writer may take the slot.
-    const SimTime now = sim_.Now();
-    const SimDuration elapsed = now - job.ckpt_write_start;
-    const SimDuration overhead = std::min(elapsed, job.ckpt_nominal);
-    const SimDuration stall = elapsed - overhead;
-    const int gpus = job.record.attempts.back().placement.NumGpus();
-    job.ckpt_time_attempt += elapsed;
-    job.ckpt_writing = false;
+    // Abort mid-write: the partial elapsed time is still paid for like a
+    // completed write, but nothing becomes durable. The freed bandwidth
+    // immediately speeds up the rack's other writers, and a deferred writer
+    // may take the slot.
+    const SimDuration stall = CkptEndWrite(job, "interrupted");
     ++result_.ckpt_writes_interrupted;
-    result_.ckpt_overhead_gpu_seconds += static_cast<double>(overhead) * gpus;
-    result_.ckpt_stall_gpu_seconds += static_cast<double>(stall) * gpus;
-    ckpt_model_->AbortWrite(job.ckpt_rack, job.spec.id, now);
-    if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
-      e->attempt = job.record.attempts.back().index;
-      e->rack = job.ckpt_rack;
-      e->delay = elapsed;
-      e->detail = "interrupted";
-    }
+    ckpt_model_->AbortWrite(job.ckpt_rack, job.spec.id, sim_.Now());
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-      spans->OnCkptStall(job.spec.id, now, stall, "interrupted");
+      spans->OnCkptStall(job.spec.id, sim_.Now(), stall, "interrupted");
     }
     CkptAdmitWaiters(job.ckpt_rack);
     CkptRescheduleRack(job.ckpt_rack);
@@ -1268,77 +1243,49 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s,
   }
 }
 
-void ClusterSimulation::OnAttemptEnd(JobId id) {
-  JobState& job = StateOf(id);
+double ClusterSimulation::StopAttempt(
+    JobState& job, FunctionRef<double(const AttemptRecord&)> progress) {
   assert(job.phase == Phase::kRunning);
-  const SimTime now = sim_.Now();
-  if (job.quantum_event.value != 0) {
-    sim_.Cancel(job.quantum_event);
-    job.quantum_event = EventId{};
-  }
-
+  // Cancelling EventId{} is a no-op: OnAttemptEnd clears its fired end event,
+  // and a checkpoint write parks it.
+  sim_.Cancel(std::exchange(job.end_event, EventId{}));
+  sim_.Cancel(std::exchange(job.quantum_event, EventId{}));
   CloseSegment(job);
   AttemptRecord& attempt = job.record.attempts.back();
-  attempt.end = now;
+  attempt.end = sim_.Now();
   job.record.gpu_seconds += attempt.GpuTime();
-  CkptOnAttemptStopped(job);  // not writing here (the end event was parked
-                              // during writes); cancels the pending trigger
+  CkptOnAttemptStopped(job);  // may abort an in-flight write
+  const double lost = progress(attempt);
+  SetExecutedEpochs(job);
   result_.allocated_gpu_seconds += attempt.GpuTime();
   result_.useful_gpu_seconds +=
-      attempt.GpuTime() - static_cast<double>(job.ckpt_time_attempt) *
-                              attempt.placement.NumGpus();
-
-  cluster_.Release(id);
+      attempt.GpuTime() - lost -
+      static_cast<double>(job.ckpt_time_attempt) * attempt.placement.NumGpus();
+  cluster_.Release(job.spec.id);
   RunningSetErase(job);
   VcOf(job).used_gpus -= job.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, id);
+  RefreshCotenantSegments(attempt.placement, job.spec.id);
+  return lost;
+}
 
-  if (job.kind == AttemptKind::kClean) {
-    job.clean_executed += AttemptExecuted(job, attempt);
-    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-    SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                               job.spec.planned_epochs, job.clean_executed / epoch)));
-    if (job.kill_at_end) {
-      FinishJob(job, JobStatus::kKilled);
-    } else if (job.CleanRemaining() <= 0) {
-      FinishJob(job, JobStatus::kPassed);
-    } else {
-      Requeue(job);  // suspended mid-run (time slicing)
+void ClusterSimulation::OnAttemptEnd(JobId id) {
+  JobState& job = StateOf(id);
+  job.end_event = EventId{};  // this event fired: nothing to cancel
+  StopAttempt(job, [&](const AttemptRecord& attempt) {
+    if (job.kind == AttemptKind::kClean) {
+      job.clean_executed += AttemptExecuted(job, attempt);
     }
+    return 0.0;
+  });
+  if (job.kind == AttemptKind::kFailing) {
+    ResolveFailedTrial(job, job.record.attempts.back());
+  } else if (job.kill_at_end) {
+    FinishJob(job, JobStatus::kKilled);
   } else {
-    ++job.failure_trials_used;
-    job.failing_resume = 0;  // the trial fired; nothing carries forward
-    attempt.failed = true;
-    attempt.true_reason = job.plan.reason;
-    attempt.log_tail = synthesizer_.LinesFor(job.plan.reason, rng_);
-    const FailureReason classified = classifier_.Classify(attempt.log_tail);
-    const int failure_index = job.failure_trials_used - 1;
-    retry_policy_->ObserveFailure(job.spec.user, classified);
-
-    if (job.failure_trials_used < job.plan.num_failure_trials) {
-      if (retry_policy_->ShouldRetryFor(job.spec.user, classified, failure_index)) {
-        Requeue(job);
-      } else {
-        FinishJob(job, JobStatus::kUnsuccessful);
-      }
-    } else {
-      switch (job.plan.disposition) {
-        case PostFailureDisposition::kUnsuccessful:
-          FinishJob(job, JobStatus::kUnsuccessful);
-          break;
-        case PostFailureDisposition::kKilledByUser:
-          FinishJob(job, JobStatus::kKilled);
-          break;
-        case PostFailureDisposition::kRecoversClean:
-          if (retry_policy_->ShouldRetryFor(job.spec.user, classified,
-                                            failure_index)) {
-            Requeue(job);
-          } else {
-            FinishJob(job, JobStatus::kUnsuccessful);
-          }
-          break;
-      }
-    }
+    // The end event fires only after the attempt trained for its whole
+    // duration, which StartAttempt set to the job's remaining work.
+    assert(job.CleanRemaining() <= 0);
+    FinishJob(job, JobStatus::kPassed);
   }
   RequestSchedulingPass(0);
 }
@@ -1383,33 +1330,11 @@ void ClusterSimulation::OnQuantumExpired(JobId id) {
 }
 
 void ClusterSimulation::SuspendAttempt(JobState& job) {
-  assert(job.phase == Phase::kRunning);
   assert(job.kind == AttemptKind::kClean);
-  sim_.Cancel(job.end_event);
-  if (job.quantum_event.value != 0) {
-    sim_.Cancel(job.quantum_event);
-    job.quantum_event = EventId{};
-  }
-  CloseSegment(job);
-  AttemptRecord& attempt = job.record.attempts.back();
-  attempt.end = sim_.Now();
-  job.record.gpu_seconds += attempt.GpuTime();
-  CkptOnAttemptStopped(job);  // may abort an in-flight write mid-suspension
-  result_.allocated_gpu_seconds += attempt.GpuTime();
-  result_.useful_gpu_seconds +=
-      attempt.GpuTime() - static_cast<double>(job.ckpt_time_attempt) *
-                              attempt.placement.NumGpus();
-  job.clean_executed += AttemptExecuted(job, attempt);
-  // Keep the recorded epoch count current while the job sits requeued:
-  // time-sliced and migrated jobs otherwise undercount epochs until their
-  // next clean attempt completes (OnAttemptEnd and PreemptJob both do this).
-  const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-  SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                             job.spec.planned_epochs, job.clean_executed / epoch)));
-  cluster_.Release(job.spec.id);
-  RunningSetErase(job);
-  VcOf(job).used_gpus -= job.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, job.spec.id);
+  StopAttempt(job, [&](const AttemptRecord& attempt) {
+    job.clean_executed += AttemptExecuted(job, attempt);
+    return 0.0;
+  });
 }
 
 void ClusterSimulation::MigrationPass() {
@@ -1490,19 +1415,7 @@ void ClusterSimulation::MigrationPass() {
           !(placement->NumServers() == 1 &&
             placement->shards[0].server == candidate.server)) {
         StartAttempt(job, *placement);
-        if (SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job);
-            e != nullptr) {
-          const WaitRecord& wait = job.record.waits.back();
-          const AttemptRecord& attempt = job.record.attempts.back();
-          e->attempt = attempt.index;
-          e->ready_time = wait.ready_time;
-          e->wait = wait.wait;
-          e->fair_share_time = wait.fair_share_time;
-          e->fragmentation_time = wait.fragmentation_time;
-          e->sched_attempts = wait.sched_attempts;
-          e->placement = EncodePlacement(attempt.placement);
-          e->detail = "migrate";
-        }
+        EmitScheduleEvent(job, "migrate", /*out_of_order=*/false);
       }
     }
   }
@@ -1515,47 +1428,26 @@ void ClusterSimulation::MigrationPass() {
 }
 
 void ClusterSimulation::PreemptJob(JobState& victim) {
-  assert(victim.phase == Phase::kRunning);
-  const SimTime now = sim_.Now();
-  sim_.Cancel(victim.end_event);
-  if (victim.quantum_event.value != 0) {
-    sim_.Cancel(victim.quantum_event);
-    victim.quantum_event = EventId{};
-  }
-  CloseSegment(victim);
+  StopAttempt(victim, [&](const AttemptRecord& attempt) {
+    // Model-checkpoint preemption: progress persists at epoch granularity.
+    // A preempted failing attempt is restarted later: the trial is not
+    // consumed.
+    if (victim.kind == AttemptKind::kClean) {
+      const SimDuration epoch = std::max<SimDuration>(1, victim.spec.EpochDuration());
+      victim.clean_executed += (AttemptExecuted(victim, attempt) / epoch) * epoch;
+    }
+    return 0.0;
+  });
   AttemptRecord& attempt = victim.record.attempts.back();
-  attempt.end = now;
   attempt.failed = true;
   attempt.preempted = true;
   attempt.true_reason = FailureReason::kJobPreempted;
   attempt.log_tail = synthesizer_.LinesFor(FailureReason::kJobPreempted, rng_);
-  victim.record.gpu_seconds += attempt.GpuTime();
-  CkptOnAttemptStopped(victim);  // may abort an in-flight write
-  result_.allocated_gpu_seconds += attempt.GpuTime();
-  result_.useful_gpu_seconds +=
-      attempt.GpuTime() - static_cast<double>(victim.ckpt_time_attempt) *
-                              attempt.placement.NumGpus();
-
-  if (victim.kind == AttemptKind::kClean) {
-    // Model-checkpoint preemption: progress persists at epoch granularity.
-    const SimDuration epoch = std::max<SimDuration>(1, victim.spec.EpochDuration());
-    const SimDuration executed = AttemptExecuted(victim, attempt);
-    victim.clean_executed += (executed / epoch) * epoch;
-    SetExecutedEpochs(victim,
-                      static_cast<int>(std::min<int64_t>(
-                          victim.spec.planned_epochs, victim.clean_executed / epoch)));
-  }
-  // A preempted failing attempt is restarted later: the trial is not consumed.
-
-  cluster_.Release(victim.spec.id);
-  RunningSetErase(victim);
-  VcOf(victim).used_gpus -= victim.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, victim.spec.id);
   ++result_.preemptions;
   if (preemptions_metric_ != nullptr) {
     preemptions_metric_->Increment();
   }
-  last_preemption_time_ = now;
+  last_preemption_time_ = sim_.Now();
   if (SchedEvent* e = EmitEvent(SchedEventKind::kPreempt, &victim); e != nullptr) {
     e->attempt = attempt.index;
     e->failed = attempt.failed;
@@ -1565,7 +1457,7 @@ void ClusterSimulation::PreemptJob(JobState& victim) {
   Requeue(victim);
 }
 
-void ClusterSimulation::Requeue(JobState& job) {
+void ClusterSimulation::EnterQueue(JobState& job) {
   job.phase = Phase::kQueued;
   job.ready_time = sim_.Now();
   job.wait = WaitRecord{};
@@ -1575,6 +1467,10 @@ void ClusterSimulation::Requeue(JobState& job) {
   job.last_cause = DelayCause::kNone;
   job.relax_emitted = 0;
   EnqueueSorted(job);
+}
+
+void ClusterSimulation::Requeue(JobState& job) {
+  EnterQueue(job);
   if (SchedEvent* e = EmitEvent(SchedEventKind::kRequeue, &job); e != nullptr) {
     if (!job.record.attempts.empty()) {
       const AttemptRecord& attempt = job.record.attempts.back();
@@ -1635,22 +1531,12 @@ void ClusterSimulation::FinishJob(JobState& job, JobStatus status) {
   }
 }
 
-void ClusterSimulation::ScheduleNextServerFault(ServerId s, SimTime after) {
-  const auto event = fault_process_.NextServerFault(s, after);
-  if (!event.has_value()) {
-    return;
+void ClusterSimulation::ScheduleNextFault(RackId rack, ServerId server) {
+  const auto next = rack >= 0 ? fault_process_.NextRackFault(rack, sim_.Now())
+                              : fault_process_.NextServerFault(server, sim_.Now());
+  if (next.has_value()) {
+    sim_.ScheduleAt(next->at, [this, e = *next] { OnFaultOccurred(e, true); });
   }
-  const FaultEvent e = *event;
-  sim_.ScheduleAt(e.at, [this, e] { OnFaultOccurred(e, true); });
-}
-
-void ClusterSimulation::ScheduleNextRackFault(RackId r, SimTime after) {
-  const auto event = fault_process_.NextRackFault(r, after);
-  if (!event.has_value()) {
-    return;
-  }
-  const FaultEvent e = *event;
-  sim_.ScheduleAt(e.at, [this, e] { OnFaultOccurred(e, true); });
 }
 
 void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
@@ -1673,11 +1559,7 @@ void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
     // Every target is already faulted/offline (e.g. a rack outage hitting a
     // crashed server). The renewal stream still continues.
     if (sampled) {
-      if (event.rack >= 0) {
-        ScheduleNextRackFault(event.rack, sim_.Now());
-      } else {
-        ScheduleNextServerFault(event.server, sim_.Now());
-      }
+      ScheduleNextFault(event.rack, event.server);
     }
     return;
   }
@@ -1743,83 +1625,54 @@ void ClusterSimulation::OnFaultRepaired(const FaultEvent& event,
   }
   RequestSchedulingPass(0);
   if (sampled) {
-    if (event.rack >= 0) {
-      ScheduleNextRackFault(event.rack, sim_.Now());
-    } else {
-      ScheduleNextServerFault(event.server, sim_.Now());
-    }
+    ScheduleNextFault(event.rack, event.server);
   }
 }
 
 void ClusterSimulation::KillAttemptForFault(JobState& job, FailureReason reason,
                                             SimTime fault_time) {
-  assert(job.phase == Phase::kRunning);
-  const SimTime now = sim_.Now();
-  sim_.Cancel(job.end_event);
-  if (job.quantum_event.value != 0) {
-    sim_.Cancel(job.quantum_event);
-    job.quantum_event = EventId{};
-  }
-  CloseSegment(job);
+  // A fault mid-write aborts the write: nothing becomes durable, per the I/O
+  // model contract.
+  const double lost = StopAttempt(job, [&](const AttemptRecord& attempt) {
+    // Work attribution: the attempt produced nothing after the fault struck
+    // (the detection window is dead time), and everything after the last
+    // checkpoint is lost too.
+    const int gpus = attempt.placement.NumGpus();
+    if (job.ckpt_period > 0) {
+      // Explicit checkpoint writes: only *completed* writes are durable, so
+      // the job rolls back to ckpt_durable and everything since — training
+      // past the last completed write plus the undetected dead window — is
+      // lost.
+      const double rolled_back =
+          static_cast<double>(job.clean_executed + AttemptExecuted(job, attempt) -
+                              job.ckpt_durable) *
+          gpus;
+      job.clean_executed = job.ckpt_durable;
+      return rolled_back;
+    }
+    const SimTime now = sim_.Now();
+    const SimTime fault_clamped = std::min(now, std::max(fault_time, attempt.start));
+    double wasted = static_cast<double>(now - fault_clamped) * gpus;
+    // Periodic checkpoints bound the loss for both kinds of attempt. A failing
+    // attempt's trial is not consumed: its deterministic bug re-manifests
+    // after the remaining RTF, so the retry resumes from the last checkpoint
+    // of the doomed run.
+    SimDuration& resume = job.kind == AttemptKind::kClean ? job.clean_executed
+                                                          : job.failing_resume;
+    const SimDuration produced = resume + (fault_clamped - attempt.start);
+    const SimDuration ckpt = config_.scheduler.checkpoint_period;
+    const SimDuration resumed = ckpt > 0 ? (produced / ckpt) * ckpt : 0;
+    wasted += static_cast<double>(produced - resumed) * gpus;
+    resume = resumed;
+    return wasted;
+  });
   AttemptRecord& attempt = job.record.attempts.back();
-  attempt.end = now;
   attempt.failed = true;
   attempt.machine_fault = true;
   attempt.true_reason = reason;
   attempt.log_tail = synthesizer_.LinesFor(reason, rng_);
-  job.record.gpu_seconds += attempt.GpuTime();
-  const bool ckpt_explicit = job.ckpt_period > 0;  // before teardown clears it
-  CkptOnAttemptStopped(job);  // a fault mid-write aborts the write: nothing
-                              // becomes durable, per the I/O model contract
-
-  // Work attribution: the attempt produced nothing after the fault struck
-  // (the detection window is dead time), and everything after the last
-  // checkpoint is lost too.
-  const SimTime fault_clamped =
-      std::min(now, std::max(fault_time, attempt.start));
-  const int gpus = attempt.placement.NumGpus();
-  double lost;
-  if (ckpt_explicit) {
-    // Explicit checkpoint writes: only *completed* writes are durable, so the
-    // job rolls back to ckpt_durable and everything since — training past the
-    // last completed write plus the undetected dead window — is lost.
-    const SimDuration training = AttemptExecuted(job, attempt);
-    lost = static_cast<double>(job.clean_executed + training -
-                               job.ckpt_durable) *
-           gpus;
-    job.clean_executed = job.ckpt_durable;
-    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-    SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                               job.spec.planned_epochs, job.clean_executed / epoch)));
-  } else if (job.kind == AttemptKind::kClean) {
-    lost = static_cast<double>(now - fault_clamped) * gpus;
-    const SimDuration produced =
-        job.clean_executed + (fault_clamped - attempt.start);
-    const SimDuration ckpt = config_.scheduler.checkpoint_period;
-    const SimDuration resumed = ckpt > 0 ? (produced / ckpt) * ckpt : 0;
-    lost += static_cast<double>(produced - resumed) * gpus;
-    job.clean_executed = resumed;
-    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-    SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                               job.spec.planned_epochs, job.clean_executed / epoch)));
-  } else {
-    lost = static_cast<double>(now - fault_clamped) * gpus;
-    // The trial is not consumed, but checkpoints still bound the loss: a
-    // deterministic bug re-manifests after the remaining RTF, so the retried
-    // attempt resumes from the last checkpoint of the doomed run.
-    const SimDuration produced =
-        job.failing_resume + (fault_clamped - attempt.start);
-    const SimDuration ckpt = config_.scheduler.checkpoint_period;
-    const SimDuration resumed = ckpt > 0 ? (produced / ckpt) * ckpt : 0;
-    lost += static_cast<double>(produced - resumed) * gpus;
-    job.failing_resume = resumed;
-  }
   result_.machine_fault_lost_gpu_seconds += lost;
   ++result_.machine_fault_kills;
-  result_.allocated_gpu_seconds += attempt.GpuTime();
-  result_.useful_gpu_seconds +=
-      attempt.GpuTime() - lost -
-      static_cast<double>(job.ckpt_time_attempt) * gpus;
   if (fault_kills_metric_ != nullptr) {
     fault_kills_metric_->Increment();
     lost_gpu_metric_->Add(lost);
@@ -1831,11 +1684,6 @@ void ClusterSimulation::KillAttemptForFault(JobState& job, FailureReason reason,
     e->lost_gpu_seconds = lost;
     e->detail = std::string(ToString(reason));
   }
-
-  cluster_.Release(job.spec.id);
-  RunningSetErase(job);
-  VcOf(job).used_gpus -= job.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, job.spec.id);
   // Machine faults are the cluster's fault, not the job's: no retry-policy
   // consult, no ObserveFailure (they must not poison the predictive
   // blacklist), no failure-trial consumption — just requeue and resume.

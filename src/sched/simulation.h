@@ -22,9 +22,11 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/common/function_ref.h"
 #include "src/failure/failure_injector.h"
 #include "src/fault/checkpoint_io.h"
 #include "src/fault/fault_process.h"
@@ -157,9 +159,9 @@ class ClusterSimulation {
 
   // --- machine faults (src/fault) ---
   // `sampled` distinguishes renewal-process events (which reschedule the next
-  // fault for their server/rack after repair) from scripted one-shots.
-  void ScheduleNextServerFault(ServerId s, SimTime after);
-  void ScheduleNextRackFault(RackId r, SimTime after);
+  // fault for their server/rack after repair) from scripted one-shots; the
+  // renewal is scheduled for a rack when `rack >= 0`, else for `server`.
+  void ScheduleNextFault(RackId rack, ServerId server);
   void OnFaultOccurred(const FaultEvent& event, bool sampled);
   void OnFaultDetected(const FaultEvent& event, std::vector<ServerId> servers,
                        bool sampled);
@@ -178,15 +180,19 @@ class ClusterSimulation {
   // rack's FIFO wait queue (training continues while deferred).
   void CkptAdmitOrQueue(JobState& job);
   void CkptBeginWrite(JobState& job);
+  // Ends the draining write, completed or aborted: charges its elapsed time
+  // to the attempt (split into overhead and contention stall) and logs
+  // ckpt_end with `detail`. Returns the stall.
+  SimDuration CkptEndWrite(JobState& job, std::string_view detail);
   void CkptCompleteWrite(JobState& job);
   // A write on `rack` finished draining: complete it, admit deferred writers.
   void OnCkptRackEvent(RackId rack);
   void CkptAdmitWaiters(RackId rack);
   // Re-arms the rack's single completion event after any writer-set change.
   void CkptRescheduleRack(RackId rack);
-  // Central teardown for every attempt-termination path: cancels the pending
-  // trigger, leaves the wait queue, and aborts an in-flight write (charging
-  // its partial elapsed time to the attempt).
+  // StopAttempt's checkpoint teardown: cancels the pending trigger, leaves the
+  // wait queue, and aborts an in-flight write (charging its partial elapsed
+  // time to the attempt).
   void CkptOnAttemptStopped(JobState& job);
   // Training time the attempt actually progressed (wall time minus write
   // stalls); equals attempt.Duration() whenever the model is off.
@@ -201,7 +207,22 @@ class ClusterSimulation {
   // Evaluates one queued job; returns true if it started.
   bool TryStartJob(JobState& job, bool earlier_job_waiting, int earlier_waiting_demand);
   void StartAttempt(JobState& job, const Placement& placement);
+  // The one teardown every termination path (completion, suspension,
+  // preemption, fault kill) runs: cancels the attempt's pending events, closes
+  // its segment and checkpoint state, applies the caller's `progress` rule
+  // (which credits training to the job and returns the GPU-seconds it lost),
+  // accounts allocated and useful GPU time, and frees its GPUs. Returns the
+  // lost GPU-seconds. The caller then logs and requeues or finishes the job.
+  double StopAttempt(JobState& job,
+                     FunctionRef<double(const AttemptRecord&)> progress);
+  // A failure trial fired (a failing attempt ended or the prerun pool caught
+  // it): synthesizes and classifies its logs, informs the retry policy, and
+  // requeues or finishes the job. Returns true if it requeued.
+  bool ResolveFailedTrial(JobState& job, AttemptRecord& attempt);
   void FinishJob(JobState& job, JobStatus status);
+  // Resets the queueing state and inserts the job into its VC queue (on
+  // arrival and on every requeue).
+  void EnterQueue(JobState& job);
   void Requeue(JobState& job);
   int RelaxLevelFor(const JobState& job) const;
   void AttributeWaitTime(JobState& job, DelayCause cause);
@@ -212,7 +233,7 @@ class ClusterSimulation {
   // suspended.
   bool TryPrioritySuspendFor(const JobState& job);
   // Context-switch a running clean attempt out, preserving full progress
-  // (used by time-slicing and migration).
+  // (used by time-slicing, priority suspension and migration).
   void SuspendAttempt(JobState& job);
   double QueueKeyFor(const JobState& job) const;
   // Inserts the job into its VC queue at its scheduling-key position (after
@@ -240,9 +261,13 @@ class ClusterSimulation {
   JobState& StateOf(JobId id);
   VcState& VcOf(const JobState& job) { return vcs_[static_cast<size_t>(job.spec.vc)]; }
 
-  // Single write path for record.executed_epochs: keeps the cluster-wide
-  // running total in sync so TakeSnapshot never rescans all jobs.
-  void SetExecutedEpochs(JobState& job, int epochs) {
+  // Single write path for record.executed_epochs, derived from
+  // clean_executed: keeps the cluster-wide running total in sync so
+  // TakeSnapshot never rescans all jobs.
+  void SetExecutedEpochs(JobState& job) {
+    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
+    const auto epochs = static_cast<int>(
+        std::min<int64_t>(job.spec.planned_epochs, job.clean_executed / epoch));
     executed_epochs_total_ += epochs - job.record.executed_epochs;
     job.record.executed_epochs = epochs;
   }
@@ -255,7 +280,12 @@ class ClusterSimulation {
   // Appends an event pre-filled with the job's identity fields; returns null
   // when event logging is off so hot paths skip payload construction.
   SchedEvent* EmitEvent(SchedEventKind kind, const JobState* job);
-  void RecordEvalFailure(DelayCause cause);
+  // Logs the attempt just started (detail: pass | migrate | prerun).
+  void EmitScheduleEvent(const JobState& job, std::string_view detail,
+                         bool out_of_order);
+  // A failed placement evaluation: attributes the wait since the last one,
+  // counts it, and notes it for the span sink.
+  void NoteEvalFailure(JobState& job, bool over_quota);
   // Span-sink refinement of a failed evaluation: maps the native two-way
   // DelayCause onto the span blame vocabulary (kFairShare ->
   // kFairnessShareCap; kFragmentation -> kLocalityWait when a fully-relaxed

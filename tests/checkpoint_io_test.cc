@@ -506,6 +506,14 @@ TEST(CheckpointConservationPropertyTest, AllocatedGpuTimeIsFullyAttributed) {
       config.simulation.ckpt_io.rack_bandwidth_gbps = uniform(0.1, 2.0);
       config.simulation.ckpt_io.size_gb_per_gpu = uniform(0.5, 8.0);
     }
+    // Rotate the other ways an attempt ends (time-slice and priority
+    // suspension, migration, the prerun pool) so the identity covers every
+    // termination path, alone and combined.
+    auto& sched = config.simulation.scheduler;
+    sched.time_slicing = i % 2 == 0;
+    sched.enable_migration = i % 3 != 0;
+    sched.priority_preemption = i % 4 < 2;
+    sched.enable_prerun_pool = i % 3 == 0;
     configs.push_back(std::move(config));
   }
 
@@ -513,17 +521,24 @@ TEST(CheckpointConservationPropertyTest, AllocatedGpuTimeIsFullyAttributed) {
   const std::vector<ExperimentRun> runs = pool.RunMany(std::move(configs));
   int64_t total_writes = 0;
   int64_t total_kills = 0;
+  int64_t total_migrations = 0;
+  int64_t total_priority_preemptions = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     SCOPED_TRACE("config " + std::to_string(i));
     const SimulationResult& r = runs[i].result;
     total_writes += r.ckpt_writes_completed;
     total_kills += r.machine_fault_kills;
+    total_migrations += r.migrations;
+    total_priority_preemptions += r.priority_preemptions;
     ASSERT_GT(r.allocated_gpu_seconds, 0.0);
     EXPECT_NEAR(ConservationResidual(r), 0.0,
                 1e-6 * r.allocated_gpu_seconds);
   }
   EXPECT_GT(total_writes, 0) << "property test must exercise the I/O model";
   EXPECT_GT(total_kills, 0) << "property test must exercise fault kills";
+  EXPECT_GT(total_migrations, 0) << "property test must exercise migration";
+  EXPECT_GT(total_priority_preemptions, 0)
+      << "property test must exercise priority suspension";
 }
 
 }  // namespace

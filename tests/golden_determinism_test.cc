@@ -247,6 +247,42 @@ TEST(GoldenDeterminismTest, FaultEnabledStreamsMatchCommittedGolden) {
   CompareOrUpdate("telemetry_fault.ndjson", stream.str());
 }
 
+// Scheduler-variant golden: the fault-enabled config with every other way an
+// attempt can end turned on — time-slice and priority suspension, migration,
+// and the prerun pool — so the stream pins each termination path and the
+// fault kills and checkpoint aborts that land during them. The path counters
+// are asserted first, so the fixture cannot quietly stop covering one.
+TEST(GoldenDeterminismTest, SchedulerVariantStreamMatchesCommittedGolden) {
+  EventLog log;
+  ExperimentConfig config = FaultGoldenConfig();
+  config.simulation.scheduler.time_slicing = true;
+  config.simulation.scheduler.priority_preemption = true;
+  config.simulation.scheduler.enable_migration = true;
+  config.simulation.scheduler.enable_prerun_pool = true;
+  config.simulation.obs.event_log = &log;
+  const ExperimentRun run = RunExperiment(config);
+
+  int64_t timeslice_preempts = 0;
+  for (const SchedEvent& event : log.events()) {
+    if (event.kind == SchedEventKind::kPreempt && event.detail == "timeslice") {
+      ++timeslice_preempts;
+    }
+  }
+  EXPECT_GT(run.result.priority_preemptions, 0) << "no priority suspension";
+  EXPECT_GT(timeslice_preempts, 0) << "no time-slice suspension";
+  EXPECT_GT(run.result.migrations, 0) << "no migration";
+  EXPECT_GT(run.result.prerun_catches, 0) << "no prerun catch";
+  EXPECT_GT(run.result.machine_fault_kills, 0) << "no fault kill";
+  EXPECT_GT(run.result.ckpt_writes_interrupted, 0) << "no interrupted write";
+
+  std::ostringstream events;
+  log.WriteNdjson(events);
+  CompareOrUpdate("events_variants.ndjson", events.str());
+
+  const DelayCauseResult causes = AnalyzeDelayCauses(run.result.jobs, &run.result);
+  CompareOrUpdate("table2_variants.txt", RenderTable2(causes));
+}
+
 // Span-stream golden: the fault-enabled config with the causal span tracer
 // attached must reproduce the committed NDJSON byte for byte. This pins the
 // whole attribution pipeline — enqueue/eval-fail/start hook order, blame
