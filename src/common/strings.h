@@ -3,8 +3,10 @@
 #ifndef SRC_COMMON_STRINGS_H_
 #define SRC_COMMON_STRINGS_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace philly {
@@ -20,6 +22,21 @@ bool Contains(std::string_view haystack, std::string_view needle);
 
 // Case-insensitive substring search (ASCII).
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
+
+// Parses all of `text` as one decimal number: no whitespace, no '+', a '-'
+// only for signed and floating types, nothing trailing, no overflow. Leaves
+// *out untouched on failure.
+template <typename Number>
+bool ParseExact(std::string_view text, Number* out) {
+  Number value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 // Formats a double with `digits` decimal places ("%.Nf").
 std::string FormatDouble(double v, int digits = 2);

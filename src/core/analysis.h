@@ -127,6 +127,11 @@ UtilizationResult AnalyzeUtilization(const std::vector<JobRecord>& jobs,
 TelemetryDigest ComputeUtilDigest(const std::vector<JobRecord>& jobs,
                                   SamplerConfig sampler = {}, uint64_t seed = 17);
 
+// The digest a telemetry stream embeds: the sample half recomputed from
+// `samples` (DigestOfSamples), the job half from ComputeUtilDigest(jobs).
+TelemetryDigest ComputeTelemetryDigest(const std::vector<TelemetrySample>& samples,
+                                       const std::vector<JobRecord>& jobs);
+
 // ---------------------------------------------------------------- Figure 7
 struct HostResourceResult {
   StreamingHistogram cpu_util;     // percent of allocated CPU, job-time weighted

@@ -1,7 +1,6 @@
 #include "src/core/runner.h"
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -9,35 +8,10 @@
 #include <stdexcept>
 #include <thread>
 
+#include "src/common/strings.h"
+
 namespace philly {
 namespace {
-
-// Parses the full string as an integer in [min, max]; returns false on any
-// trailing garbage, empty input, or range violation.
-bool ParseExact(const char* text, int64_t min, int64_t max, uint64_t* out) {
-  if (text == nullptr || *text == '\0') {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  if (min < 0 || *text == '-') {
-    const long long v = std::strtoll(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0' || v < min ||
-        (max >= 0 && v > max)) {
-      return false;
-    }
-    *out = static_cast<uint64_t>(v);
-    return true;
-  }
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' ||
-      v < static_cast<unsigned long long>(min) ||
-      (max >= 0 && v > static_cast<unsigned long long>(max))) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 [[noreturn]] void DieOnKnob(const char* name, const char* value,
                             const char* expected) {
@@ -53,8 +27,8 @@ int PositiveIntFromEnv(const char* name, int fallback) {
   if (env == nullptr || *env == '\0') {
     return fallback;
   }
-  uint64_t value = 0;
-  if (!ParseExact(env, 1, INT32_MAX, &value)) {
+  int64_t value = 0;
+  if (!ParseExact(env, &value) || value < 1 || value > INT32_MAX) {
     DieOnKnob(name, env, "a positive integer");
   }
   return static_cast<int>(value);
@@ -66,7 +40,7 @@ uint64_t U64FromEnv(const char* name, uint64_t fallback) {
     return fallback;
   }
   uint64_t value = 0;
-  if (!ParseExact(env, 0, -1, &value)) {
+  if (!ParseExact(env, &value)) {
     DieOnKnob(name, env, "an unsigned integer");
   }
   return value;

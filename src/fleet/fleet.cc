@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "src/common/strings.h"
 #include "src/core/runner.h"
 #include "src/sched/simulation.h"
 #include "src/workload/generator.h"
@@ -19,20 +19,6 @@ namespace {
 // test re-derives it to configure the standalone runs).
 uint64_t ClusterSeed(uint64_t base_seed, int cluster_index) {
   return base_seed + 1000003ull * static_cast<uint64_t>(cluster_index);
-}
-
-// Whole-string unsigned parse; rejects signs, whitespace, and trailing bytes.
-bool StrictUint(std::string_view text, int64_t* value) {
-  if (text.empty()) {
-    return false;
-  }
-  int64_t v = 0;
-  const auto result = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
-    return false;
-  }
-  *value = v;
-  return true;
 }
 
 }  // namespace
@@ -228,7 +214,7 @@ bool ParseClustersSpec(std::string_view text, std::vector<ClusterConfig>* cluste
   if (text.find(',') == std::string_view::npos &&
       text.find('x') == std::string_view::npos) {
     int64_t count = 0;
-    if (!StrictUint(text, &count)) {
+    if (!ParseExact(text, &count)) {
       return fail("--clusters value '" + std::string(text) +
                   "' is not a cluster count or RxS[xG] list");
     }
@@ -253,7 +239,7 @@ bool ParseClustersSpec(std::string_view text, std::vector<ClusterConfig>* cluste
     bool ok = true;
     for (size_t i = 0; ok && i <= entry.size(); ++i) {
       if (i == entry.size() || entry[i] == 'x') {
-        if (field >= 3 || !StrictUint(entry.substr(field_start, i - field_start),
+        if (field >= 3 || !ParseExact(entry.substr(field_start, i - field_start),
                                       &dims[field])) {
           ok = false;
         }

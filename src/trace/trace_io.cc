@@ -143,6 +143,19 @@ bool TraceWriter::WriteDirectory(const std::vector<JobRecord>& jobs,
   return true;
 }
 
+bool TraceReader::ReadDirectory(const std::string& directory,
+                                std::vector<JobRecord>* jobs) {
+  std::ifstream jobs_in(directory + "/jobs.csv");
+  std::ifstream attempts_in(directory + "/attempts.csv");
+  std::ifstream util_in(directory + "/gpu_util.csv");
+  std::ifstream log_in(directory + "/stdout.log");
+  if (!jobs_in || !attempts_in || !util_in || !log_in) {
+    return false;
+  }
+  *jobs = ReadJobs(jobs_in, attempts_in, util_in, log_in);
+  return true;
+}
+
 std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,
                                              std::istream& attempts_csv,
                                              std::istream& util_csv,

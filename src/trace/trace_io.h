@@ -72,6 +72,12 @@ class TraceReader {
                                          std::istream& stdout_log,
                                          const TraceReadOptions& options = {},
                                          TraceReadStats* stats = nullptr);
+
+  // Reads the four files TraceWriter::WriteDirectory writes under
+  // `directory`. Returns false, leaving *jobs untouched, if any cannot be
+  // opened.
+  static bool ReadDirectory(const std::string& directory,
+                            std::vector<JobRecord>* jobs);
 };
 
 }  // namespace philly

@@ -2,11 +2,11 @@
 // trace_fuzz_test.cc mold: adversarial inputs assembled from an atom
 // alphabet, plus the known malformed cases the CLI must reject.
 //
-// phillyctl funnels all three fleet knobs through exactly one validator
-// each — `--clusters` through ParseClustersSpec, `--router` through
-// RouterPolicyFromString, `--spill-threshold` through a strict whole-string
-// integer parse plus the FleetSimulation constructor's range check — so
-// fuzzing those entry points covers the CLI surface. The contract under test:
+// phillyctl funnels `--clusters` through ParseClustersSpec; `--router` and
+// `--spill-threshold` are checked by phillyctl's flag table (a choice list in
+// RouterPolicy order, a bounded whole-string integer), and
+// RouterPolicyFromString is the library's parser for the same names, so
+// fuzzing these entry points covers the fleet grammar. The contract under test:
 // malformed values are rejected (the CLI then exits 1 with the validator's
 // message), never crash, and never silently produce a default or partially
 // parsed config. The CI fleet smoke step drives one malformed invocation

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -164,12 +166,8 @@ TEST(GoldenDeterminismTest, TelemetryStreamMatchesCommittedGolden) {
   config.simulation.obs.timeseries = &timeseries;
   const ExperimentRun run = RunExperiment(config);
 
-  TelemetryDigest digest = DigestOfSamples(timeseries.samples());
-  const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-  digest.jobs = jobs_half.jobs;
-  digest.segments = jobs_half.segments;
-  digest.util_weight = jobs_half.util_weight;
-  digest.util_weighted_sum = jobs_half.util_weighted_sum;
+  const TelemetryDigest digest =
+      ComputeTelemetryDigest(timeseries.samples(), run.result.jobs);
 
   std::ostringstream stream;
   timeseries.WriteNdjson(stream, &digest);
@@ -236,12 +234,8 @@ TEST(GoldenDeterminismTest, FaultEnabledStreamsMatchCommittedGolden) {
 
   CompareOrUpdate("table7_fault.txt", RenderTable7(AnalyzeFailures(run.result.jobs)));
 
-  TelemetryDigest digest = DigestOfSamples(timeseries.samples());
-  const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-  digest.jobs = jobs_half.jobs;
-  digest.segments = jobs_half.segments;
-  digest.util_weight = jobs_half.util_weight;
-  digest.util_weighted_sum = jobs_half.util_weighted_sum;
+  const TelemetryDigest digest =
+      ComputeTelemetryDigest(timeseries.samples(), run.result.jobs);
   std::ostringstream stream;
   timeseries.WriteNdjson(stream, &digest);
   CompareOrUpdate("telemetry_fault.ndjson", stream.str());
@@ -281,6 +275,38 @@ TEST(GoldenDeterminismTest, SchedulerVariantStreamMatchesCommittedGolden) {
 
   const DelayCauseResult causes = AnalyzeDelayCauses(run.result.jobs, &run.result);
   CompareOrUpdate("table2_variants.txt", RenderTable2(causes));
+}
+
+// Fair-share preemption golden: GoldenConfig with the VC quotas scaled to the
+// quarter-size cluster by the fleet rule (FleetClusterExperiment) — at
+// paper-scale quotas no VC is ever over its share, so nothing is preempted —
+// and a one-hour preemption cooldown, so the stream pins PreemptJob and its
+// epoch-granular progress rule.
+TEST(GoldenDeterminismTest, FairSharePreemptionStreamMatchesCommittedGolden) {
+  EventLog log;
+  ExperimentConfig config = GoldenConfig();
+  const double scale =
+      static_cast<double>(config.simulation.cluster.TotalGpus()) /
+      static_cast<double>(ClusterConfig::PaperScale().TotalGpus());
+  for (VcConfig& vc : config.simulation.vcs) {
+    vc.quota_gpus =
+        std::max<int>(1, static_cast<int>(std::llround(vc.quota_gpus * scale)));
+  }
+  config.simulation.scheduler.preemption_cooldown = Minutes(60);
+  config.simulation.obs.event_log = &log;
+  RunExperiment(config);
+
+  int64_t fairshare_preempts = 0;
+  for (const SchedEvent& event : log.events()) {
+    if (event.kind == SchedEventKind::kPreempt && event.detail == "fairshare") {
+      ++fairshare_preempts;
+    }
+  }
+  EXPECT_GT(fairshare_preempts, 0) << "no fair-share preemption";
+
+  std::ostringstream events;
+  log.WriteNdjson(events);
+  CompareOrUpdate("events_fairshare.ndjson", events.str());
 }
 
 // Span-stream golden: the fault-enabled config with the causal span tracer

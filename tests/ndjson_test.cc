@@ -491,12 +491,8 @@ const Streams& FaultedRunStreams() {
     config.simulation.obs.spans = &spans;
     const ExperimentRun run = RunExperiment(config);
 
-    TelemetryDigest digest = DigestOfSamples(timeseries.samples());
-    const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-    digest.jobs = jobs_half.jobs;
-    digest.segments = jobs_half.segments;
-    digest.util_weight = jobs_half.util_weight;
-    digest.util_weighted_sum = jobs_half.util_weighted_sum;
+    const TelemetryDigest digest =
+        ComputeTelemetryDigest(timeseries.samples(), run.result.jobs);
 
     Streams out;
     std::ostringstream e, t, s;

@@ -357,12 +357,8 @@ TEST(ClusterTimeSeriesTest, FullRunStreamRoundTripsByteIdentically) {
   config.simulation.obs.timeseries = &ts;
   const auto run = RunExperiment(config);
 
-  TelemetryDigest digest = DigestOfSamples(ts.samples());
-  const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-  digest.jobs = jobs_half.jobs;
-  digest.segments = jobs_half.segments;
-  digest.util_weight = jobs_half.util_weight;
-  digest.util_weighted_sum = jobs_half.util_weighted_sum;
+  const TelemetryDigest digest =
+      ComputeTelemetryDigest(ts.samples(), run.result.jobs);
 
   const std::string ndjson = NdjsonOf(ts, &digest);
   std::istringstream in(ndjson);

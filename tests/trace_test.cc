@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -105,6 +106,52 @@ TEST(TraceIoTest, WriteDirectoryCreatesFiles) {
 
 TEST(TraceIoTest, WriteDirectoryFailsForMissingPath) {
   EXPECT_FALSE(TraceWriter::WriteDirectory({}, "/nonexistent/path/here"));
+}
+
+// The directory reader must see exactly what ReadJobs sees in the four
+// streams WriteDirectory writes: re-serializing both results gives the same
+// bytes.
+TEST(TraceIoTest, ReadDirectoryRoundTripsWriteDirectory) {
+  const auto jobs = RunSmall();
+  const std::string dir = ::testing::TempDir() + "/read_directory_round_trip";
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(TraceWriter::WriteDirectory(jobs, dir));
+  std::vector<JobRecord> from_dir;
+  ASSERT_TRUE(TraceReader::ReadDirectory(dir, &from_dir));
+
+  std::stringstream jobs_csv, attempts_csv, util_csv, stdout_log;
+  TraceWriter::WriteJobs(jobs, jobs_csv);
+  TraceWriter::WriteAttempts(jobs, attempts_csv);
+  TraceWriter::WriteUtilSegments(jobs, util_csv);
+  TraceWriter::WriteStdoutLogs(jobs, stdout_log);
+  const auto from_streams =
+      TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
+
+  ASSERT_EQ(from_dir.size(), jobs.size());
+  const auto serialize = [](const std::vector<JobRecord>& records) {
+    std::stringstream out;
+    TraceWriter::WriteJobs(records, out);
+    TraceWriter::WriteAttempts(records, out);
+    TraceWriter::WriteUtilSegments(records, out);
+    TraceWriter::WriteStdoutLogs(records, out);
+    return out.str();
+  };
+  EXPECT_EQ(serialize(from_dir), serialize(from_streams));
+}
+
+TEST(TraceIoTest, ReadDirectoryFailsWhenAnyFileIsMissing) {
+  for (const char* name :
+       {"jobs.csv", "attempts.csv", "gpu_util.csv", "stdout.log"}) {
+    SCOPED_TRACE(name);
+    const std::string dir =
+        ::testing::TempDir() + "/read_directory_missing_" + name;
+    std::filesystem::create_directories(dir);
+    ASSERT_TRUE(TraceWriter::WriteDirectory({}, dir));
+    ASSERT_TRUE(std::filesystem::remove(dir + "/" + name));
+    std::vector<JobRecord> jobs(3);
+    EXPECT_FALSE(TraceReader::ReadDirectory(dir, &jobs));
+    EXPECT_EQ(jobs.size(), 3u) << "output touched on failure";
+  }
 }
 
 TEST(TraceIoTest, ReaderToleratesMalformedRows) {

@@ -1,111 +1,20 @@
 // phillyctl — command-line front end for the phillysim library.
 //
-//   phillyctl simulate --days 10 --seed 42 --out DIR [options]
-//       Run a simulation and write the trace artifact(s) plus a
-//       manifest.json recording seed/config/knobs for reproduction.
-//   phillyctl analyze --trace DIR [--figures DIR]
-//       Re-analyze a previously written native trace and print every table.
-//   phillyctl analyze --from-events FILE [--trace DIR]
-//       Rebuild the scheduler-stream analyses (Table 6, Fig 2, Fig 3,
-//       Table 2) from an NDJSON event log alone. With --trace, cross-check
-//       the rebuilt per-job records against the native trace and fail on
-//       any divergence.
-//   phillyctl analyze --telemetry FILE [--trace DIR]
-//       Rebuild the Table 3 utilization aggregates from a telemetry stream
-//       alone and verify them against the digest the writer embedded (exact,
-//       bitwise). With --trace, also recompute the job-derived half from the
-//       native trace and fail on any divergence.
-//   phillyctl analyze --from-events FILE --spans FILE
-//       Additionally verify the causal span stream: the blame-conservation
-//       identity against the event-rebuilt job records (every attributed
-//       interval sums exactly to the measured queueing delay), then rebuild
-//       Table 2 from the attributed spans alone and cross-check it against
-//       the native analysis, failing on any divergence.
-//   phillyctl explain --job ID --spans FILE
-//       Print the causal timeline of one job — when it queued, what each
-//       stretch of waiting was blamed on, when it ran, why each attempt
-//       ended — reconstructed from the span stream alone.
-//   phillyctl report [--days N] [--seed S] [options]
-//       Run a simulation and print the full analysis without writing files.
-//   phillyctl sweep [--days N] [--seeds S1,S2,...] [--schedulers a,b,...]
-//                   [--retries p1,p2,...] [--threads N] [options]
-//       Run the schedulers x retry-policies x seeds cross product through the
-//       parallel experiment pool and print one summary row per run.
-//       --retries defaults to the single --retry value; --threads overrides
-//       the pool size (default: PHILLY_BENCH_THREADS or hardware
-//       concurrency); results are identical for any thread count.
-//   phillyctl fleet [--clusters SPEC] [--router POLICY]
-//                   [--spill-threshold N] [--days N] [--seed S] [--threads N]
-//                   [--out DIR] [--html FILE]
-//       Run a multi-cluster fleet behind the front-door job router
-//       (docs/fleet.md) and print a per-cluster routing/queueing summary.
-//       --clusters is either a count ("4": four paper-scale clusters) or a
-//       comma list of RxS / RxSxG topologies ("15x16x8,4x24x2"); each
-//       member's workload is scaled to its GPU capacity. --router is pinned,
-//       least-loaded, or spillover (default pinned); --spill-threshold (home
-//       queue depth, spillover only) defaults to 4. --out writes the fleet
-//       route stream, every per-cluster event and telemetry stream, and a
-//       manifest.json recording the knobs; --html renders the dashboard with
-//       a fleet routing section.
-//
-//   Scheduler options (simulate/report; sweep takes all but --scheduler):
-//     --scheduler philly|fifo|optimus|tiresias|gandiva   (default philly)
-//     --retry fixed|adaptive|predictive                  (default fixed)
-//     --prerun            enable the 1-GPU pre-run pool (§5)
-//     --migration         enable checkpoint-migration defragmentation (§5)
-//     --dedicated         place small jobs on dedicated servers (§5)
-//     --strict-locality   never relax locality constraints
-//     --faults            enable the calibrated machine-fault process
-//                         (node crashes, GPU ECC drains, rack outages)
-//     --checkpoint-mins N periodic-checkpoint period for machine-fault
-//                         recovery (default 0 = restart from scratch)
-//     --ckpt-policy fixed|daly|stagger  checkpoint scheduling policy when the
-//                         I/O model is on (default fixed)
-//     --ckpt-bw GBPS      per-rack shared checkpoint storage bandwidth in
-//                         GB/s; > 0 enables the checkpoint I/O interference
-//                         model (default 0 = free instantaneous checkpoints)
-//     --ckpt-size-gb-per-gpu GB  checkpoint bytes written per allocated GPU
-//                         (default 2.0; requires --ckpt-bw to take effect)
-//   Output options (simulate):
-//     --format native|philly-traces|both                 (default native)
-//   Observability options (simulate/report):
-//     --events-out FILE    write the scheduler event stream as NDJSON
-//     --metrics-out FILE   write aggregated run metrics as JSON
-//     --trace-out FILE     write wall-clock phase slices as Chrome trace-event
-//                          JSON (load in ui.perfetto.dev or chrome://tracing)
-//     --telemetry-out FILE write the per-minute cluster telemetry stream as
-//                          NDJSON with a trailing integrity digest line
-//     --spans-out FILE     write the causal span stream (queued/blame/running/
-//                          ckpt spans, docs/observability.md) as NDJSON
-//     --spans-trace-out FILE  write the span tree as Chrome trace-event JSON
-//                          (load in ui.perfetto.dev or chrome://tracing)
-//     --html FILE          render a self-contained HTML dashboard (inline SVG,
-//                          no external assets) from the run's log streams;
-//                          includes a "Why jobs waited" section when a span
-//                          sink is attached (--spans-out / --spans-trace-out)
-//   Input options (analyze / explain):
-//     --philly-traces     treat --trace as the public-release layout and
-//                         parse cluster_job_log (telemetry analyses skipped)
-//     --from-events FILE  analyze an NDJSON scheduler event log
-//     --telemetry FILE    verify and summarize an NDJSON telemetry stream
-//     --spans FILE        an NDJSON causal span stream (with analyze
-//                         --from-events: verify + cross-check; with explain:
-//                         the stream to reconstruct the timeline from)
-//   Fleet options (fleet):
-//     --collect-spans     collect per-cluster span streams; with --out each
-//                         is written as <cluster>.spans.ndjson, and --html
-//                         gains the "Why jobs waited" section
+// `phillyctl --help` lists the commands and `phillyctl <command> --help` a
+// command's flags. Both are generated from the flag tables below, which also
+// drive parsing and the knobs recorded in manifest.json.
 
-#include <cerrno>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/sha256.h"
@@ -136,210 +45,229 @@
 namespace philly {
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> values;
-  std::map<std::string, bool> flags;
+// How a flag's value is checked (a malformed value exits 1) and read.
+enum class FlagType {
+  kSwitch,  // takes no value
+  kText,    // any non-empty string
+  kChoice,  // one of the '|'-separated names in Flag::arg
+  kInt,     // a decimal integer in [Flag::lo, Flag::hi]
+  kUint64,  // a decimal unsigned 64-bit integer
+  kReal,    // a finite decimal number > 0
+};
+using enum FlagType;
 
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it != values.end() ? it->second : fallback;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    const auto it = values.find(key);
-    return it != values.end() ? std::atoi(it->second.c_str()) : fallback;
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
+struct Flag {
+  std::string_view name;
+  FlagType type = kText;
+  std::string_view arg = {};  // the value's placeholder in --help; kChoice: the choices
+  std::string_view def = {};  // the value when the flag is not given; empty: none
+  int64_t lo = 0;             // kInt range, inclusive
+  int64_t hi = 0;
+  bool list = false;  // a comma list of values
+  bool knob = false;  // recorded in manifest.json's knobs, named without "--"
+  std::string_view help;
 };
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2 && argv[1][0] != '-') {
-    args.command = argv[1];
-  }
-  static const char* kValueKeys[] = {"--days",    "--seed",       "--out",
-                                     "--trace",   "--figures",    "--scheduler",
-                                     "--retry",   "--format",     "--seeds",
-                                     "--schedulers", "--threads", "--retries",
-                                     "--checkpoint-mins", "--ckpt-policy",
-                                     "--ckpt-bw", "--ckpt-size-gb-per-gpu",
-                                     "--events-out",
-                                     "--metrics-out", "--trace-out",
-                                     "--from-events", "--telemetry-out",
-                                     "--telemetry", "--html",
-                                     "--spans-out", "--spans-trace-out",
-                                     "--spans", "--job",
-                                     "--clusters", "--router",
-                                     "--spill-threshold"};
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool takes_value = false;
-    for (const char* key : kValueKeys) {
-      if (arg == key) {
-        takes_value = true;
-        break;
-      }
-    }
-    if (takes_value && i + 1 < argc) {
-      args.values[arg] = argv[++i];
-    } else if (arg.rfind("--", 0) == 0) {
-      args.flags[arg] = true;
-    }
-  }
-  return args;
+// Ten years of arrivals; the paper's trace spans 75 days.
+constexpr int64_t kMaxDays = 3650;
+
+constexpr Flag kDays{.name = "--days", .type = kInt, .arg = "N", .def = "10", .lo = 1,
+                     .hi = kMaxDays, .help = "days of job arrivals to simulate"};
+constexpr Flag kFleetDays = [] {
+  Flag flag = kDays;
+  flag.def = "3";
+  return flag;
+}();
+constexpr Flag kSeed{.name = "--seed", .type = kUint64, .arg = "S", .def = "42",
+                     .help = "workload and simulation seed"};
+constexpr Flag kScheduler{.name = "--scheduler", .type = kChoice,
+                          .arg = "philly|fifo|optimus|tiresias|gandiva", .def = "philly",
+                          .help = "scheduler preset"};
+// The presets, in kScheduler's choice order.
+SchedulerConfig (*const kSchedulerPresets[])() = {
+    &SchedulerConfig::Philly, &SchedulerConfig::Fifo, &SchedulerConfig::Optimus,
+    &SchedulerConfig::Tiresias, &SchedulerConfig::Gandiva};
+// kRetry, kCkptPolicy and kRouter list their choices in enum order.
+constexpr Flag kRetry{.name = "--retry", .type = kChoice, .arg = "fixed|adaptive|predictive",
+                      .def = "fixed", .knob = true, .help = "failed-job retry policy"};
+constexpr Flag kPrerun{.name = "--prerun", .type = kSwitch, .knob = true,
+                       .help = "enable the 1-GPU pre-run pool (paper §5)"};
+constexpr Flag kMigration{.name = "--migration", .type = kSwitch, .knob = true,
+                          .help = "enable checkpoint-migration defragmentation (§5)"};
+constexpr Flag kDedicated{.name = "--dedicated", .type = kSwitch, .knob = true,
+                          .help = "place small jobs on dedicated servers (§5)"};
+constexpr Flag kStrictLocality{.name = "--strict-locality", .type = kSwitch, .knob = true,
+                               .help = "never relax locality constraints"};
+constexpr Flag kFaults{.name = "--faults", .type = kSwitch, .def = "off", .knob = true,
+                       .help = "enable the calibrated machine-fault process"};
+constexpr Flag kCheckpointMins{.name = "--checkpoint-mins", .type = kInt, .arg = "N", .lo = 0,
+                               .hi = kMaxDays * 24 * 60, .knob = true,
+                               .help = "fault-recovery checkpoint period (default 0: none)"};
+constexpr Flag kCkptPolicy{.name = "--ckpt-policy", .type = kChoice, .arg = "fixed|daly|stagger",
+                           .knob = true, .help = "checkpoint scheduling policy (default fixed)"};
+constexpr Flag kCkptBw{.name = "--ckpt-bw", .type = kReal, .arg = "GBPS", .knob = true,
+                       .help = "per-rack checkpoint GB/s; turns on the checkpoint I/O model"};
+constexpr Flag kCkptSize{.name = "--ckpt-size-gb-per-gpu", .type = kReal, .arg = "GB", .knob = true,
+                         .help = "checkpoint GB per allocated GPU (default 2; needs --ckpt-bw)"};
+constexpr Flag kFormat{.name = "--format", .type = kChoice, .arg = "native|philly-traces|both",
+                       .def = "native", .knob = true, .help = "trace layout written to --out"};
+constexpr Flag kOut{.name = "--out", .arg = "DIR", .def = "out/trace",
+                    .help = "directory for the trace and manifest.json"};
+constexpr Flag kFigures{.name = "--figures", .arg = "DIR",
+                        .help = "also write the figure series as CSV files"};
+constexpr Flag kEventsOut{.name = "--events-out", .arg = "FILE",
+                          .help = "write the scheduler event stream as NDJSON"};
+constexpr Flag kMetricsOut{.name = "--metrics-out", .arg = "FILE",
+                           .help = "write aggregated run metrics as JSON"};
+constexpr Flag kTraceOut{.name = "--trace-out", .arg = "FILE",
+                         .help = "write wall-clock phase slices as Chrome trace-event JSON"};
+constexpr Flag kTelemetryOut{.name = "--telemetry-out", .arg = "FILE",
+                             .help = "write the per-minute telemetry stream as NDJSON"};
+constexpr Flag kSpansOut{.name = "--spans-out", .arg = "FILE",
+                         .help = "write the causal span stream as NDJSON"};
+constexpr Flag kSpansTraceOut{.name = "--spans-trace-out", .arg = "FILE",
+                              .help = "write the span tree as Chrome trace-event JSON"};
+constexpr Flag kHtml{.name = "--html", .arg = "FILE",
+                     .help = "render a self-contained HTML dashboard"};
+constexpr Flag kSeeds{.name = "--seeds", .type = kUint64, .arg = "S", .def = "42", .list = true,
+                      .help = "seeds to sweep"};
+constexpr Flag kSchedulers{.name = "--schedulers", .type = kChoice, .arg = kScheduler.arg,
+                           .def = "philly", .list = true, .help = "scheduler presets to sweep"};
+constexpr Flag kRetries{.name = "--retries", .type = kChoice, .arg = kRetry.arg, .list = true,
+                        .help = "retry policies to sweep (default: the --retry value)"};
+constexpr Flag kThreads{.name = "--threads", .type = kInt, .arg = "N", .def = "0", .lo = 0,
+                        .hi = 1024, .help = "worker threads (0: PHILLY_BENCH_THREADS or cores)"};
+constexpr Flag kClusters{.name = "--clusters", .arg = "SPEC", .def = "3", .knob = true,
+                         .help = "paper-scale cluster count, or RxS[xG] list: 15x16x8,4x24x2"};
+constexpr Flag kRouter{.name = "--router", .type = kChoice, .arg = "pinned|least-loaded|spillover",
+                       .def = "pinned", .knob = true, .help = "front-door job router policy"};
+constexpr Flag kSpillThreshold{.name = "--spill-threshold", .type = kInt, .arg = "N", .def = "4",
+                               .lo = 0, .hi = INT32_MAX, .knob = true,
+                               .help = "home queue depth before spilling (spillover only)"};
+constexpr Flag kFleetOut{.name = "--out", .arg = "DIR",
+                         .help = "write the route and per-cluster streams and manifest.json"};
+constexpr Flag kCollectSpans{.name = "--collect-spans", .type = kSwitch, .knob = true,
+                             .help = "collect per-cluster span streams for --out and --html"};
+constexpr Flag kTelemetry{.name = "--telemetry", .arg = "FILE",
+                          .help = "telemetry stream to verify against its embedded digest"};
+constexpr Flag kFromEvents{.name = "--from-events", .arg = "FILE",
+                           .help = "scheduler event log to rebuild the analyses from"};
+constexpr Flag kTrace{.name = "--trace", .arg = "DIR",
+                      .help = "native trace directory (with a stream: cross-check against it)"};
+constexpr Flag kSpans{.name = "--spans", .arg = "FILE", .help = "causal span stream"};
+constexpr Flag kPhillyTraces{.name = "--philly-traces", .type = kSwitch,
+                             .help = "read --trace as the public cluster_job_log layout"};
+constexpr Flag kJob{.name = "--job", .type = kInt, .arg = "ID", .lo = 1, .hi = INT32_MAX,
+                    .help = "job to explain"};
+
+// Position of `text` among the flag's choices, or -1.
+int ChoiceIndex(const Flag& flag, std::string_view text) {
+  const std::vector<std::string_view> choices = Split(flag.arg, '|');
+  const auto it = std::find(choices.begin(), choices.end(), text);
+  return it == choices.end() ? -1 : static_cast<int>(it - choices.begin());
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: phillyctl <simulate|analyze|report|sweep|fleet|explain> "
-               "[options]\n"
-               "see the header of tools/phillyctl.cc or README.md for the "
-               "option list\n");
-  return 2;
+// Whether `text` is a well-formed value (one list entry) for the flag.
+bool ValidValue(const Flag& flag, std::string_view text) {
+  int64_t integer = 0;
+  uint64_t unsigned_integer = 0;
+  double real = 0.0;
+  switch (flag.type) {
+    case kChoice:
+      return ChoiceIndex(flag, text) >= 0;
+    case kInt:
+      return ParseExact(text, &integer) && integer >= flag.lo && integer <= flag.hi;
+    case kUint64:
+      return ParseExact(text, &unsigned_integer);
+    case kReal:
+      return ParseExact(text, &real) && std::isfinite(real) && real > 0.0;
+    default:
+      return !text.empty();
+  }
 }
 
-bool SchedulerByName(const std::string& name, SchedulerConfig* sched) {
-  if (name == "philly") {
-    *sched = SchedulerConfig::Philly();
-  } else if (name == "fifo") {
-    *sched = SchedulerConfig::Fifo();
-  } else if (name == "optimus") {
-    *sched = SchedulerConfig::Optimus();
-  } else if (name == "tiresias") {
-    *sched = SchedulerConfig::Tiresias();
-  } else if (name == "gandiva") {
-    *sched = SchedulerConfig::Gandiva();
-  } else {
-    std::fprintf(stderr, "unknown scheduler '%s'\n", name.c_str());
-    return false;
-  }
-  return true;
+// The "expected ..." half of a malformed-value message.
+std::string Expected(const Flag& flag) {
+  const std::string what =
+      flag.type == kChoice ? "one of " + std::string(flag.arg)
+      : flag.type == kInt  ? "an integer in [" + std::to_string(flag.lo) + ", " +
+                                std::to_string(flag.hi) + "]"
+      : flag.type == kUint64 ? "an unsigned 64-bit integer"
+      : flag.type == kReal   ? "a positive number"
+                             : "a non-empty value";
+  return flag.list ? "a comma list, each entry " + what : what;
 }
 
-bool RetryByName(const std::string& name, SchedulerConfig::RetryPolicyKind* kind) {
-  if (name == "fixed") {
-    *kind = SchedulerConfig::RetryPolicyKind::kFixed;
-  } else if (name == "adaptive") {
-    *kind = SchedulerConfig::RetryPolicyKind::kAdaptive;
-  } else if (name == "predictive") {
-    *kind = SchedulerConfig::RetryPolicyKind::kPredictive;
-  } else {
-    std::fprintf(stderr, "unknown retry policy '%s'\n", name.c_str());
-    return false;
-  }
-  return true;
-}
+class Cli;
 
-// Applies the options shared by every subcommand (retry policy and the §5
-// mechanism flags) on top of an already-selected scheduler preset.
-bool ApplyCommonSchedulerOptions(const Args& args, SchedulerConfig* sched) {
-  if (!RetryByName(args.Get("--retry", "fixed"), &sched->retry_policy)) {
-    return false;
-  }
-  sched->enable_prerun_pool = args.Has("--prerun");
-  sched->enable_migration = args.Has("--migration");
-  if (args.Has("--dedicated")) {
-    sched->placer.pack_small_jobs = false;
-  }
-  if (args.Has("--strict-locality")) {
-    sched->max_relax_level = 0;
-  }
-  return true;
-}
+struct Command {
+  std::string_view name;
+  std::string_view about;
+  std::vector<const Flag*> flags;  // every flag the command reads
+  // flags[0, required) must be given; analyze picks its mode by flags[0].
+  size_t required = 0;
+  int (*run)(const Cli&) = nullptr;
+};
 
-bool ApplySchedulerOptions(const Args& args, SchedulerConfig* sched) {
-  return SchedulerByName(args.Get("--scheduler", "philly"), sched) &&
-         ApplyCommonSchedulerOptions(args, sched);
-}
+// A parsed command line: the command (for analyze, the mode) and the text of
+// every flag given, each already checked against its table entry.
+class Cli {
+ public:
+  Cli(const Command& command, std::map<std::string_view, std::string> given)
+      : command_(command), given_(std::move(given)) {}
 
-// Strict numeric parsing for the fault/checkpoint knobs. std::atoi-style
-// silent defaulting would let a typo'd period or bandwidth invalidate a whole
-// fault study, so malformed values fail loudly instead (the same contract as
-// the PHILLY_BENCH_* env knobs).
-bool ParseStrictLong(const std::string& text, long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') {
-    return false;
+  const Command& command() const { return command_; }
+  bool Given(const Flag& flag) const { return given_.count(flag.name) > 0; }
+  // The text given for the flag, else its default.
+  std::string Text(const Flag& flag) const {
+    const auto it = given_.find(flag.name);
+    return it != given_.end() ? it->second : std::string(flag.def);
   }
-  *out = value;
-  return true;
-}
+  // Conversions of text the parser already checked.
+  int64_t Int(const Flag& flag) const { return std::stoll(Text(flag)); }
+  uint64_t Uint64(const Flag& flag) const { return std::stoull(Text(flag)); }
+  double Real(const Flag& flag) const { return std::stod(Text(flag)); }
+  int Choice(const Flag& flag) const { return ChoiceIndex(flag, Text(flag)); }
+  std::vector<std::string> Items(const Flag& flag) const {
+    const std::string text = Text(flag);
+    const std::vector<std::string_view> items = Split(text, ',');
+    return {items.begin(), items.end()};
+  }
 
-bool ParseStrictDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0' ||
-      !std::isfinite(value)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
+ private:
+  const Command& command_;
+  std::map<std::string_view, std::string> given_;
+};
 
-// Parses and validates --checkpoint-mins and the --ckpt-* knobs into the
-// scheduler config (period, policy) and the checkpoint I/O config (bandwidth,
-// write size). Returns 0 on success; on an invalid value prints a clear
-// message and returns 1, which the caller propagates as the process exit
-// code.
-int ApplyCheckpointOptions(const Args& args, SchedulerConfig* sched,
-                           CheckpointIoConfig* ckpt_io) {
-  if (args.values.count("--checkpoint-mins") > 0) {
-    const std::string text = args.Get("--checkpoint-mins", "");
-    long mins = 0;
-    if (!ParseStrictLong(text, &mins) || mins < 0) {
-      std::fprintf(stderr,
-                   "--checkpoint-mins '%s' is invalid: expected a "
-                   "non-negative integer number of minutes (0 disables "
-                   "periodic checkpoints)\n",
-                   text.c_str());
-      return 1;
-    }
-    sched->checkpoint_period = Minutes(static_cast<int>(mins));
+// Applies the retry policy, the §5 switches, the checkpoint knobs and
+// --faults on top of the scheduler preset already in `config`.
+void ApplyRunFlags(const Cli& cli, ExperimentConfig* config) {
+  SchedulerConfig& sched = config->simulation.scheduler;
+  sched.retry_policy =
+      static_cast<SchedulerConfig::RetryPolicyKind>(cli.Choice(kRetry));
+  sched.enable_prerun_pool = cli.Given(kPrerun);
+  sched.enable_migration = cli.Given(kMigration);
+  if (cli.Given(kDedicated)) {
+    sched.placer.pack_small_jobs = false;
   }
-  if (args.values.count("--ckpt-policy") > 0) {
-    const std::string name = args.Get("--ckpt-policy", "");
-    if (name == "fixed") {
-      sched->checkpoint_policy = CheckpointPolicy::kFixedPeriod;
-    } else if (name == "daly") {
-      sched->checkpoint_policy = CheckpointPolicy::kDalyOptimal;
-    } else if (name == "stagger") {
-      sched->checkpoint_policy = CheckpointPolicy::kCooperativeStagger;
-    } else {
-      std::fprintf(stderr,
-                   "--ckpt-policy '%s' is invalid: expected fixed, daly, or "
-                   "stagger\n",
-                   name.c_str());
-      return 1;
-    }
+  if (cli.Given(kStrictLocality)) {
+    sched.max_relax_level = 0;
   }
-  if (args.values.count("--ckpt-bw") > 0) {
-    const std::string text = args.Get("--ckpt-bw", "");
-    double bw = 0.0;
-    if (!ParseStrictDouble(text, &bw) || bw <= 0.0) {
-      std::fprintf(stderr,
-                   "--ckpt-bw '%s' is invalid: expected a positive per-rack "
-                   "bandwidth in GB/s\n",
-                   text.c_str());
-      return 1;
-    }
-    ckpt_io->rack_bandwidth_gbps = bw;
+  if (cli.Given(kCheckpointMins)) {
+    sched.checkpoint_period = Minutes(cli.Int(kCheckpointMins));
   }
-  if (args.values.count("--ckpt-size-gb-per-gpu") > 0) {
-    const std::string text = args.Get("--ckpt-size-gb-per-gpu", "");
-    double size = 0.0;
-    if (!ParseStrictDouble(text, &size) || size <= 0.0) {
-      std::fprintf(stderr,
-                   "--ckpt-size-gb-per-gpu '%s' is invalid: expected a "
-                   "positive write size in GB per allocated GPU\n",
-                   text.c_str());
-      return 1;
-    }
-    ckpt_io->size_gb_per_gpu = size;
+  if (cli.Given(kCkptPolicy)) {
+    sched.checkpoint_policy = static_cast<CheckpointPolicy>(cli.Choice(kCkptPolicy));
   }
-  return 0;
+  if (cli.Given(kCkptBw)) {
+    config->simulation.ckpt_io.rack_bandwidth_gbps = cli.Real(kCkptBw);
+  }
+  if (cli.Given(kCkptSize)) {
+    config->simulation.ckpt_io.size_gb_per_gpu = cli.Real(kCkptSize);
+  }
+  if (cli.Given(kFaults)) {
+    config->simulation.fault = FaultProcessConfig::Calibrated();
+  }
 }
 
 // Report sections shared by `report`, `analyze --trace`, and
@@ -535,52 +463,65 @@ bool WriteObsFile(const std::string& path, const char* what, const char* sink,
   return true;
 }
 
-// The manifest that lets a trace directory found on disk later be
-// regenerated: seed, scale, and every knob that changes the simulation.
-RunManifest ManifestFor(const Args& args, const ExperimentConfig& config,
-                        bool write_output) {
+// The manifest that lets an output directory found on disk later be
+// regenerated: seed, scale, and every knob flag given or defaulted.
+RunManifest ManifestFor(const Cli& cli, uint64_t seed, int days) {
   RunManifest manifest;
   manifest.tool = "phillyctl";
-  manifest.command = write_output ? "simulate" : "report";
-  manifest.seed = config.simulation.seed;
-  manifest.days = args.GetInt("--days", 10);
-  manifest.threads = 1;
-  manifest.knobs["scheduler"] = config.simulation.scheduler.name;
-  manifest.knobs["retry"] = args.Get("--retry", "fixed");
-  manifest.knobs["format"] = args.Get("--format", "native");
-  manifest.knobs["faults"] = args.Has("--faults") ? "on" : "off";
-  // The checkpoint knobs were already validated by ApplyCheckpointOptions, so
-  // the raw strings can be recorded verbatim.
-  for (const char* knob : {"--checkpoint-mins", "--ckpt-policy", "--ckpt-bw",
-                           "--ckpt-size-gb-per-gpu"}) {
-    if (args.values.count(knob) > 0) {
-      manifest.knobs[knob + 2] = args.Get(knob, "");  // strip the dashes
-    }
-  }
-  for (const char* flag :
-       {"--prerun", "--migration", "--dedicated", "--strict-locality"}) {
-    if (args.Has(flag)) {
-      manifest.knobs[flag + 2] = "on";  // strip the leading dashes
+  manifest.command = std::string(cli.command().name);
+  manifest.seed = seed;
+  manifest.days = days;
+  for (const Flag* flag : cli.command().flags) {
+    if (flag->knob && (cli.Given(*flag) || !flag->def.empty())) {
+      manifest.knobs[std::string(flag->name.substr(2))] = cli.Text(*flag);
     }
   }
   return manifest;
 }
 
-int RunSimulateOrReport(const Args& args, bool write_output) {
-  ExperimentConfig config =
-      ExperimentConfig::BenchScale(args.GetInt("--days", 10),
-                                   static_cast<uint64_t>(args.GetInt("--seed", 42)));
-  if (!ApplySchedulerOptions(args, &config.simulation.scheduler)) {
-    return 2;
+// Reads the span stream at `path`, or says why it cannot.
+bool LoadSpans(const std::string& path, std::vector<SpanRecord>* spans) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open span stream %s\n", path.c_str());
+    return false;
   }
-  if (const int rc = ApplyCheckpointOptions(args, &config.simulation.scheduler,
-                                            &config.simulation.ckpt_io);
-      rc != 0) {
-    return rc;
+  std::string error;
+  *spans = SpanLog::ReadNdjson(in, &error);
+  if (!error.empty()) {
+    std::fprintf(stderr, "failed to parse %s: %s\n", path.c_str(), error.c_str());
+    return false;
   }
-  if (args.Has("--faults")) {
-    config.simulation.fault = FaultProcessConfig::Calibrated();
+  return true;
+}
+
+// Writes manifest.json into `dir`, or says why it cannot.
+bool WriteManifest(const RunManifest& manifest, const std::string& dir) {
+  const std::string path = dir + "/manifest.json";
+  if (!manifest.WriteFile(path)) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
   }
+  std::printf("manifest written to %s\n", path.c_str());
+  return true;
+}
+
+// Reads the native trace under `dir`, or says why it cannot.
+bool LoadNativeTrace(const std::string& dir, std::vector<JobRecord>* jobs) {
+  if (TraceReader::ReadDirectory(dir, jobs)) {
+    return true;
+  }
+  std::fprintf(stderr, "cannot open native trace files under %s\n", dir.c_str());
+  return false;
+}
+
+int RunSimulateOrReport(const Cli& cli) {
+  const bool write_output = cli.command().name == "simulate";
+  const int days = static_cast<int>(cli.Int(kDays));
+  const uint64_t seed = cli.Uint64(kSeed);
+  ExperimentConfig config = ExperimentConfig::BenchScale(days, seed);
+  config.simulation.scheduler = kSchedulerPresets[cli.Choice(kScheduler)]();
+  ApplyRunFlags(cli, &config);
 
   // Observability sinks attach only when their output was requested: a run
   // without these flags keeps config.simulation.obs all-null and is
@@ -590,46 +531,40 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
   TraceProfiler profiler;
   ClusterTimeSeries timeseries;
   SpanTracer spans;
-  const std::string events_out = args.Get("--events-out", "");
-  const std::string metrics_out = args.Get("--metrics-out", "");
-  const std::string trace_out = args.Get("--trace-out", "");
-  const std::string telemetry_out = args.Get("--telemetry-out", "");
-  const std::string spans_out = args.Get("--spans-out", "");
-  const std::string spans_trace_out = args.Get("--spans-trace-out", "");
-  const std::string html_out = args.Get("--html", "");
   // The dashboard joins the telemetry and scheduler streams, so --html
   // implies both recorders even when their files were not asked for.
-  if (!events_out.empty() || !html_out.empty()) {
+  if (cli.Given(kEventsOut) || cli.Given(kHtml)) {
     config.simulation.obs.event_log = &event_log;
   }
-  if (!metrics_out.empty()) {
+  if (cli.Given(kMetricsOut)) {
     config.simulation.obs.metrics = &metrics;
   }
-  if (!trace_out.empty()) {
+  if (cli.Given(kTraceOut)) {
     config.simulation.obs.profiler = &profiler;
   }
-  if (!telemetry_out.empty() || !html_out.empty()) {
+  if (cli.Given(kTelemetryOut) || cli.Given(kHtml)) {
     config.simulation.obs.timeseries = &timeseries;
   }
   // The span tracer attaches only on explicit request: with it attached the
   // telemetry stream grows per-VC blame columns, so quietly enabling it for
   // --html would change --telemetry-out bytes for users who never asked for
   // attribution.
-  if (!spans_out.empty() || !spans_trace_out.empty()) {
+  if (cli.Given(kSpansOut) || cli.Given(kSpansTraceOut)) {
     config.simulation.obs.spans = &spans;
   }
 
-  std::printf("simulating %d days (seed %d, scheduler %s)...\n",
-              args.GetInt("--days", 10), args.GetInt("--seed", 42),
+  std::printf("simulating %d days (seed %llu, scheduler %s)...\n", days,
+              static_cast<unsigned long long>(seed),
               config.simulation.scheduler.name.c_str());
   const ExperimentRun run = RunExperiment(config);
   std::printf("%lld jobs completed\n\n", static_cast<long long>(run.num_jobs));
 
-  RunManifest manifest = ManifestFor(args, config, write_output);
+  RunManifest manifest = ManifestFor(cli, seed, days);
+  manifest.knobs["scheduler"] = config.simulation.scheduler.name;
+  const std::string out = write_output ? cli.Text(kOut) : "";
   if (write_output) {
-    const std::string out = args.Get("--out", "out/trace");
     std::filesystem::create_directories(out);
-    const std::string format = args.Get("--format", "native");
+    const std::string format = cli.Text(kFormat);
     if (format == "native" || format == "both") {
       if (!TraceWriter::WriteDirectory(run.result.jobs, out)) {
         std::fprintf(stderr, "cannot write native trace to %s\n", out.c_str());
@@ -653,100 +588,68 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     // Scoped so the "analyze" slice closes before the trace file is written.
     ScopedTimer analyze_timer(config.simulation.obs.profiler, "analyze");
     PrintReport(run.result.jobs, &run.result);
-    if (args.values.count("--figures") > 0) {
-      ExportFigures(run.result.jobs, args.Get("--figures", "out/figures"));
+    if (cli.Given(kFigures)) {
+      ExportFigures(run.result.jobs, cli.Text(kFigures));
     }
   }
 
-  if (!events_out.empty()) {
-    if (!WriteObsFile(events_out, "event log", "events", &manifest,
-                      [&](std::ostream& out) { event_log.WriteNdjson(out); })) {
+  // Each requested stream, in write order: its flag, what it is, its manifest
+  // name, its writer, and the line reporting it (around the path).
+  struct Sink {
+    const Flag& flag;
+    const char* what;
+    const char* name;
+    std::function<void(std::ostream&)> write;
+    std::string before;
+    const char* after = "";
+  };
+  const Sink sinks[] = {
+      {kEventsOut, "event log", "events", [&](std::ostream& out) { event_log.WriteNdjson(out); },
+       std::to_string(event_log.size()) + " scheduler events written to "},
+      {kMetricsOut, "metrics", "metrics", [&](std::ostream& out) { metrics.WriteJson(out); },
+       "metrics written to "},
+      {kTraceOut, "phase trace", "phase-trace",
+       [&](std::ostream& out) { profiler.WriteChromeTrace(out); },
+       std::to_string(profiler.size()) + " phase slices written to ", " (open in ui.perfetto.dev)"},
+      {kTelemetryOut, "telemetry", "telemetry",
+       [&](std::ostream& out) {
+         const TelemetryDigest digest =
+             ComputeTelemetryDigest(timeseries.samples(), run.result.jobs);
+         timeseries.WriteNdjson(out, &digest);
+       },
+       std::to_string(timeseries.samples().size()) + " telemetry samples written to "},
+      {kSpansOut, "span stream", "spans", [&](std::ostream& out) { spans.log().WriteNdjson(out); },
+       std::to_string(spans.log().spans().size()) + " causal spans written to "},
+      {kSpansTraceOut, "span trace", "spans-trace",
+       [&](std::ostream& out) { WriteSpanChromeTrace(out, spans.log().spans()); },
+       "span trace written to ", " (open in ui.perfetto.dev)"},
+      {kHtml, "dashboard", "dashboard",
+       [&](std::ostream& out) {
+         HtmlDashboardInput dashboard;
+         dashboard.title = "philly " + config.simulation.scheduler.name + " seed " +
+                           std::to_string(config.simulation.seed) + ", " +
+                           std::to_string(days) + " days";
+         dashboard.samples = &timeseries.samples();
+         dashboard.events = &event_log.events();
+         dashboard.jobs = &run.result.jobs;
+         if (config.simulation.obs.spans != nullptr) {
+           dashboard.spans = &spans.log().spans();
+         }
+         out << RenderHtmlDashboard(dashboard);
+       },
+       "dashboard written to "},
+  };
+  for (const Sink& sink : sinks) {
+    if (!cli.Given(sink.flag)) {
+      continue;
+    }
+    const std::string path = cli.Text(sink.flag);
+    if (!WriteObsFile(path, sink.what, sink.name, &manifest, sink.write)) {
       return 1;
     }
-    std::printf("%zu scheduler events written to %s\n", event_log.size(),
-                events_out.c_str());
+    std::printf("%s%s%s\n", sink.before.c_str(), path.c_str(), sink.after);
   }
-  if (!metrics_out.empty()) {
-    if (!WriteObsFile(metrics_out, "metrics", "metrics", &manifest,
-                      [&](std::ostream& out) { metrics.WriteJson(out); })) {
-      return 1;
-    }
-    std::printf("metrics written to %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    if (!WriteObsFile(trace_out, "phase trace", "phase-trace", &manifest,
-                      [&](std::ostream& out) { profiler.WriteChromeTrace(out); })) {
-      return 1;
-    }
-    std::printf("%zu phase slices written to %s (open in ui.perfetto.dev)\n",
-                profiler.size(), trace_out.c_str());
-  }
-  if (!telemetry_out.empty()) {
-    // The embedded digest carries both halves of the cross-check: exact
-    // aggregates over the sample lines, and the Table 3 utilization
-    // aggregates derived from the native job records.
-    TelemetryDigest digest = DigestOfSamples(timeseries.samples());
-    const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-    digest.jobs = jobs_half.jobs;
-    digest.segments = jobs_half.segments;
-    digest.util_weight = jobs_half.util_weight;
-    digest.util_weighted_sum = jobs_half.util_weighted_sum;
-    if (!WriteObsFile(telemetry_out, "telemetry", "telemetry", &manifest,
-                      [&](std::ostream& out) {
-                        timeseries.WriteNdjson(out, &digest);
-                      })) {
-      return 1;
-    }
-    std::printf("%zu telemetry samples written to %s\n",
-                timeseries.samples().size(), telemetry_out.c_str());
-  }
-  if (!spans_out.empty()) {
-    if (!WriteObsFile(spans_out, "span stream", "spans", &manifest,
-                      [&](std::ostream& out) { spans.log().WriteNdjson(out); })) {
-      return 1;
-    }
-    std::printf("%zu causal spans written to %s\n", spans.log().spans().size(),
-                spans_out.c_str());
-  }
-  if (!spans_trace_out.empty()) {
-    if (!WriteObsFile(spans_trace_out, "span trace", "spans-trace", &manifest,
-                      [&](std::ostream& out) {
-                        WriteSpanChromeTrace(out, spans.log().spans());
-                      })) {
-      return 1;
-    }
-    std::printf("span trace written to %s (open in ui.perfetto.dev)\n",
-                spans_trace_out.c_str());
-  }
-  if (!html_out.empty()) {
-    HtmlDashboardInput dashboard;
-    dashboard.title = "philly " + config.simulation.scheduler.name + " seed " +
-                      std::to_string(config.simulation.seed) + ", " +
-                      std::to_string(args.GetInt("--days", 10)) + " days";
-    dashboard.samples = &timeseries.samples();
-    dashboard.events = &event_log.events();
-    dashboard.jobs = &run.result.jobs;
-    if (config.simulation.obs.spans != nullptr) {
-      dashboard.spans = &spans.log().spans();
-    }
-    if (!WriteObsFile(html_out, "dashboard", "dashboard", &manifest,
-                      [&](std::ostream& out) {
-                        out << RenderHtmlDashboard(dashboard);
-                      })) {
-      return 1;
-    }
-    std::printf("dashboard written to %s\n", html_out.c_str());
-  }
-  if (write_output) {
-    const std::string manifest_path = args.Get("--out", "out/trace") +
-                                      "/manifest.json";
-    if (!manifest.WriteFile(manifest_path)) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_path.c_str());
-      return 1;
-    }
-    std::printf("manifest written to %s\n", manifest_path.c_str());
-  }
-  return 0;
+  return write_output && !WriteManifest(manifest, out) ? 1 : 0;
 }
 
 // Compares the event-rebuilt jobs against a native trace, field by field,
@@ -821,8 +724,8 @@ int CrossCheckAgainstTrace(const std::vector<JobRecord>& joined,
 // analyses from the NDJSON event log alone; with --trace, also verify the
 // rebuilt records against the native trace (the round-trip check the CI
 // smoke job runs).
-int RunAnalyzeFromEvents(const Args& args) {
-  const std::string path = args.Get("--from-events", "");
+int RunAnalyzeFromEvents(const Cli& cli) {
+  const std::string path = cli.Text(kFromEvents);
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open event log %s\n", path.c_str());
@@ -844,18 +747,10 @@ int RunAnalyzeFromEvents(const Args& args) {
               joined.jobs.size(), events.size(), path.c_str());
   PrintEventReport(joined);
 
-  const std::string spans_path = args.Get("--spans", "");
-  if (!spans_path.empty()) {
-    std::ifstream spans_in(spans_path);
-    if (!spans_in) {
-      std::fprintf(stderr, "cannot open span stream %s\n", spans_path.c_str());
-      return 1;
-    }
-    const std::vector<SpanRecord> spans =
-        SpanLog::ReadNdjson(spans_in, &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "failed to parse %s: %s\n", spans_path.c_str(),
-                   error.c_str());
+  if (cli.Given(kSpans)) {
+    const std::string spans_path = cli.Text(kSpans);
+    std::vector<SpanRecord> spans;
+    if (!LoadSpans(spans_path, &spans)) {
       return 1;
     }
     // First the conservation identity: every second a job measurably waited
@@ -884,19 +779,11 @@ int RunAnalyzeFromEvents(const Args& args) {
                 "matches the native analysis\n");
   }
 
-  const std::string dir = args.Get("--trace", "");
-  if (!dir.empty()) {
-    std::ifstream jobs_csv(dir + "/jobs.csv");
-    std::ifstream attempts_csv(dir + "/attempts.csv");
-    std::ifstream util_csv(dir + "/gpu_util.csv");
-    std::ifstream stdout_log(dir + "/stdout.log");
-    if (!jobs_csv || !attempts_csv || !util_csv || !stdout_log) {
-      std::fprintf(stderr, "cannot open native trace files under %s\n",
-                   dir.c_str());
+  if (cli.Given(kTrace)) {
+    std::vector<JobRecord> native;
+    if (!LoadNativeTrace(cli.Text(kTrace), &native)) {
       return 1;
     }
-    const auto native =
-        TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
     const int mismatches = CrossCheckAgainstTrace(joined.jobs, native);
     if (mismatches > 0) {
       std::fprintf(stderr,
@@ -916,8 +803,8 @@ int RunAnalyzeFromEvents(const Args& args) {
 // it); with --trace the job-derived Table 3 half is recomputed from the
 // native trace with the same code path the writer used, so both checks are
 // exact, not within-epsilon.
-int RunAnalyzeTelemetry(const Args& args) {
-  const std::string path = args.Get("--telemetry", "");
+int RunAnalyzeTelemetry(const Cli& cli) {
+  const std::string path = cli.Text(kTelemetry);
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open telemetry stream %s\n", path.c_str());
@@ -973,19 +860,11 @@ int RunAnalyzeTelemetry(const Args& args) {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  const std::string dir = args.Get("--trace", "");
-  if (!dir.empty()) {
-    std::ifstream jobs_csv(dir + "/jobs.csv");
-    std::ifstream attempts_csv(dir + "/attempts.csv");
-    std::ifstream util_csv(dir + "/gpu_util.csv");
-    std::ifstream stdout_log(dir + "/stdout.log");
-    if (!jobs_csv || !attempts_csv || !util_csv || !stdout_log) {
-      std::fprintf(stderr, "cannot open native trace files under %s\n",
-                   dir.c_str());
+  if (cli.Given(kTrace)) {
+    std::vector<JobRecord> native;
+    if (!LoadNativeTrace(cli.Text(kTrace), &native)) {
       return 1;
     }
-    const auto native =
-        TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
     const TelemetryDigest from_trace = ComputeUtilDigest(native);
     if (!JobAggregatesEqual(from_trace, written)) {
       std::fprintf(stderr,
@@ -1006,19 +885,12 @@ int RunAnalyzeTelemetry(const Args& args) {
   return 0;
 }
 
-int RunAnalyze(const Args& args) {
-  if (args.values.count("--telemetry") > 0) {
-    return RunAnalyzeTelemetry(args);
-  }
-  if (args.values.count("--from-events") > 0) {
-    return RunAnalyzeFromEvents(args);
-  }
-  const std::string dir = args.Get("--trace", "");
-  if (dir.empty()) {
-    std::fprintf(stderr, "analyze requires --trace DIR\n");
-    return 2;
-  }
-  if (args.Has("--philly-traces")) {
+// `analyze --trace DIR`: validate a written trace (or import the public
+// philly-traces layout) and print every table.
+int RunAnalyze(const Cli& cli) {
+  const std::string dir = cli.Text(kTrace);
+  std::vector<JobRecord> jobs;
+  if (cli.Given(kPhillyTraces)) {
     // Public-release layout: parse cluster_job_log. Telemetry-dependent
     // analyses are skipped (the job log carries no utilization).
     std::ifstream job_log(dir + "/cluster_job_log");
@@ -1030,7 +902,7 @@ int RunAnalyze(const Args& args) {
     buffer << job_log.rdbuf();
     PhillyTracesImporter importer;
     std::string error;
-    const auto jobs = importer.ImportJobLog(buffer.str(), &error);
+    jobs = importer.ImportJobLog(buffer.str(), &error);
     if (!error.empty()) {
       std::fprintf(stderr, "failed to parse cluster_job_log: %s\n", error.c_str());
       return 1;
@@ -1038,110 +910,57 @@ int RunAnalyze(const Args& args) {
     std::printf("imported %zu jobs (%d VCs, %d users, %d machines) from %s\n\n",
                 jobs.size(), importer.num_vcs(), importer.num_users(),
                 importer.num_machines(), dir.c_str());
-    PrintReport(jobs, nullptr);
-    if (args.values.count("--figures") > 0) {
-      ExportFigures(jobs, args.Get("--figures", "out/figures"));
+  } else {
+    if (!LoadNativeTrace(dir, &jobs)) {
+      return 1;
     }
-    return 0;
+    const ValidationReport validation = ValidateJobs(jobs);
+    if (!validation.ok()) {
+      std::fprintf(stderr, "trace failed validation: %s\n",
+                   validation.Summary().c_str());
+      return 1;
+    }
+    std::printf("loaded and validated %zu jobs from %s\n\n", jobs.size(),
+                dir.c_str());
   }
-  std::ifstream jobs_csv(dir + "/jobs.csv");
-  std::ifstream attempts_csv(dir + "/attempts.csv");
-  std::ifstream util_csv(dir + "/gpu_util.csv");
-  std::ifstream stdout_log(dir + "/stdout.log");
-  if (!jobs_csv || !attempts_csv || !util_csv || !stdout_log) {
-    std::fprintf(stderr, "cannot open native trace files under %s\n", dir.c_str());
-    return 1;
-  }
-  const auto jobs =
-      TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
-  const ValidationReport validation = ValidateJobs(jobs);
-  if (!validation.ok()) {
-    std::fprintf(stderr, "trace failed validation: %s\n",
-                 validation.Summary().c_str());
-    return 1;
-  }
-  std::printf("loaded and validated %zu jobs from %s\n\n", jobs.size(),
-              dir.c_str());
   PrintReport(jobs, nullptr);
-  if (args.values.count("--figures") > 0) {
-    ExportFigures(jobs, args.Get("--figures", "out/figures"));
+  if (cli.Given(kFigures)) {
+    ExportFigures(jobs, cli.Text(kFigures));
   }
   return 0;
-}
-
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> out;
-  std::string item;
-  std::stringstream stream(list);
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return out;
 }
 
 // Runs the schedulers x retry-policies x seeds cross product through the
 // experiment pool and prints one summary row per run. Rows come out in
 // (scheduler, retry, seed) order no matter how many worker threads execute
 // the simulations.
-int RunSweep(const Args& args) {
+int RunSweep(const Cli& cli) {
   std::vector<uint64_t> seeds;
-  for (const std::string& token : SplitCsv(args.Get("--seeds", "42"))) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (errno != 0 || end == token.c_str() || *end != '\0') {
-      std::fprintf(stderr, "--seeds entry '%s' is not a valid seed\n",
-                   token.c_str());
-      return 2;
-    }
-    seeds.push_back(static_cast<uint64_t>(value));
+  for (const std::string& item : cli.Items(kSeeds)) {
+    seeds.push_back(std::stoull(item));
   }
-  const std::vector<std::string> scheduler_names =
-      SplitCsv(args.Get("--schedulers", "philly"));
+  const std::vector<std::string> scheduler_names = cli.Items(kSchedulers);
   // Third sweep dimension: retry policies. Defaults to the single --retry
   // value so `sweep --retry adaptive` keeps working unchanged.
   const std::vector<std::string> retry_names =
-      SplitCsv(args.Get("--retries", args.Get("--retry", "fixed")));
-  if (seeds.empty() || scheduler_names.empty() || retry_names.empty()) {
-    std::fprintf(stderr,
-                 "sweep needs at least one seed, one scheduler, and one "
-                 "retry policy\n");
-    return 2;
-  }
+      cli.Given(kRetries) ? cli.Items(kRetries) : std::vector{cli.Text(kRetry)};
 
-  const int days = args.GetInt("--days", 10);
+  const int days = static_cast<int>(cli.Int(kDays));
   std::vector<ExperimentConfig> configs;
   for (const std::string& name : scheduler_names) {
-    SchedulerConfig sched;
-    CheckpointIoConfig ckpt_io;
-    if (!SchedulerByName(name, &sched) ||
-        !ApplyCommonSchedulerOptions(args, &sched)) {
-      return 2;
-    }
-    if (const int rc = ApplyCheckpointOptions(args, &sched, &ckpt_io);
-        rc != 0) {
-      return rc;
-    }
     for (const std::string& retry : retry_names) {
-      SchedulerConfig variant = sched;
-      if (!RetryByName(retry, &variant.retry_policy)) {
-        return 2;
-      }
       for (const uint64_t seed : seeds) {
         ExperimentConfig config = ExperimentConfig::BenchScale(days, seed);
-        config.simulation.scheduler = variant;
-        config.simulation.ckpt_io = ckpt_io;
-        if (args.Has("--faults")) {
-          config.simulation.fault = FaultProcessConfig::Calibrated();
-        }
+        config.simulation.scheduler = kSchedulerPresets[ChoiceIndex(kSchedulers, name)]();
+        ApplyRunFlags(cli, &config);
+        config.simulation.scheduler.retry_policy =
+            static_cast<SchedulerConfig::RetryPolicyKind>(ChoiceIndex(kRetries, retry));
         configs.push_back(std::move(config));
       }
     }
   }
 
-  const ExperimentPool pool(args.GetInt("--threads", 0));
+  const ExperimentPool pool(static_cast<int>(cli.Int(kThreads)));
   std::printf("sweeping %zu scheduler(s) x %zu retry policy(ies) x %zu "
               "seed(s) over %d days on %d worker thread(s)...\n\n",
               scheduler_names.size(), retry_names.size(), seeds.size(), days,
@@ -1195,53 +1014,34 @@ double P95QueueDelayMinutes(const std::vector<JobRecord>& jobs) {
 }
 
 // `fleet`: run N clusters behind the front-door router and summarize routing,
-// queueing, and the fleet GPU-time ledger. All three fleet knobs are strictly
-// validated: a malformed --clusters/--router/--spill-threshold exits 1 with a
-// clear message and never silently defaults.
-int RunFleet(const Args& args) {
-  const std::string clusters_spec = args.Get("--clusters", "3");
+// queueing, and the fleet GPU-time ledger. ParseClustersSpec checks the
+// --clusters grammar: a malformed spec exits 1 with its message.
+int RunFleet(const Cli& cli) {
+  const std::string clusters_spec = cli.Text(kClusters);
   std::vector<ClusterConfig> cluster_configs;
   std::string error;
   if (!ParseClustersSpec(clusters_spec, &cluster_configs, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const std::string router_name = args.Get("--router", "pinned");
+  const std::string router_name = cli.Text(kRouter);
   RouterConfig router;
-  if (!RouterPolicyFromString(router_name, &router.policy)) {
-    std::fprintf(stderr,
-                 "--router '%s' is invalid: expected pinned, least-loaded, or "
-                 "spillover\n",
-                 router_name.c_str());
+  router.policy = static_cast<RouterPolicy>(cli.Choice(kRouter));
+  if (cli.Given(kSpillThreshold) && router.policy != RouterPolicy::kSpillover) {
+    std::fprintf(stderr, "--spill-threshold only applies to --router spillover\n");
     return 1;
   }
-  if (args.values.count("--spill-threshold") > 0) {
-    if (router.policy != RouterPolicy::kSpillover) {
-      std::fprintf(stderr,
-                   "--spill-threshold only applies to --router spillover\n");
-      return 1;
-    }
-    const std::string text = args.Get("--spill-threshold", "");
-    long threshold = 0;
-    if (!ParseStrictLong(text, &threshold) || threshold < 0) {
-      std::fprintf(stderr,
-                   "--spill-threshold '%s' is invalid: expected a non-negative "
-                   "home queue depth\n",
-                   text.c_str());
-      return 1;
-    }
-    router.spill_threshold = threshold;
-  }
+  router.spill_threshold = cli.Int(kSpillThreshold);
 
-  const int days = args.GetInt("--days", 3);
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("--seed", 42));
-  const bool collect_spans = args.Has("--collect-spans");
+  const int days = static_cast<int>(cli.Int(kFleetDays));
+  const uint64_t seed = cli.Uint64(kSeed);
+  const bool collect_spans = cli.Given(kCollectSpans);
   FleetConfig config;
   config.router = router;
   config.collect_events = true;
   config.collect_telemetry = true;
   config.collect_spans = collect_spans;
-  config.threads = args.GetInt("--threads", 0);
+  config.threads = static_cast<int>(cli.Int(kThreads));
   for (size_t i = 0; i < cluster_configs.size(); ++i) {
     config.clusters.push_back(
         {"cluster" + std::to_string(i),
@@ -1297,22 +1097,13 @@ int RunFleet(const Args& args) {
               result.ckpt_overhead_gpu_seconds / 3600.0,
               result.ckpt_stall_gpu_seconds / 3600.0);
 
-  RunManifest manifest;
-  manifest.tool = "phillyctl";
-  manifest.command = "fleet";
-  manifest.seed = seed;
-  manifest.days = days;
-  manifest.threads = args.GetInt("--threads", 0);
-  manifest.knobs["clusters"] = clusters_spec;
-  manifest.knobs["router"] = router_name;
-  if (router.policy == RouterPolicy::kSpillover) {
-    manifest.knobs["spill-threshold"] = std::to_string(router.spill_threshold);
-  }
-  if (collect_spans) {
-    manifest.knobs["collect-spans"] = "on";
+  RunManifest manifest = ManifestFor(cli, seed, days);
+  manifest.threads = static_cast<int>(cli.Int(kThreads));
+  if (router.policy != RouterPolicy::kSpillover) {
+    manifest.knobs.erase("spill-threshold");
   }
 
-  const std::string out_dir = args.Get("--out", "");
+  const std::string out_dir = cli.Text(kFleetOut);
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
     if (!WriteObsFile(out_dir + "/fleet_events.ndjson", "fleet route stream",
@@ -1321,37 +1112,27 @@ int RunFleet(const Args& args) {
                       })) {
       return 1;
     }
-    for (size_t i = 0; i < result.clusters.size(); ++i) {
-      const FleetClusterResult& cluster = result.clusters[i];
-      const std::string base = out_dir + "/" + cluster.name;
-      if (!WriteObsFile(base + ".events.ndjson", "event log",
-                        (cluster.name + "-events").c_str(), &manifest,
-                        [&](std::ostream& out) {
-                          cluster.events.WriteNdjson(out);
-                        })) {
-        return 1;
-      }
+    for (const FleetClusterResult& cluster : result.clusters) {
       // Same embedded digest the simulate path writes, so each per-cluster
       // stream verifies under `analyze --telemetry` on its own.
-      TelemetryDigest digest = DigestOfSamples(cluster.telemetry.samples());
-      const TelemetryDigest jobs_half = ComputeUtilDigest(cluster.result.jobs);
-      digest.jobs = jobs_half.jobs;
-      digest.segments = jobs_half.segments;
-      digest.util_weight = jobs_half.util_weight;
-      digest.util_weighted_sum = jobs_half.util_weighted_sum;
-      if (!WriteObsFile(base + ".telemetry.ndjson", "telemetry",
-                        (cluster.name + "-telemetry").c_str(), &manifest,
-                        [&](std::ostream& out) {
-                          cluster.telemetry.WriteNdjson(out, &digest);
-                        })) {
-        return 1;
-      }
-      if (collect_spans) {
-        if (!WriteObsFile(base + ".spans.ndjson", "span stream",
-                          (cluster.name + "-spans").c_str(), &manifest,
-                          [&](std::ostream& out) {
-                            cluster.spans.log().WriteNdjson(out);
-                          })) {
+      const TelemetryDigest digest =
+          ComputeTelemetryDigest(cluster.telemetry.samples(), cluster.result.jobs);
+      const struct {
+        std::string kind;
+        const char* what;
+        std::function<void(std::ostream&)> write;
+      } streams[] = {
+          {"events", "event log", [&](std::ostream& out) { cluster.events.WriteNdjson(out); }},
+          {"telemetry", "telemetry",
+           [&](std::ostream& out) { cluster.telemetry.WriteNdjson(out, &digest); }},
+          {"spans", "span stream",
+           [&](std::ostream& out) { cluster.spans.log().WriteNdjson(out); }},
+      };
+      for (const auto& stream : streams) {
+        if ((stream.kind != "spans" || collect_spans) &&
+            !WriteObsFile(out_dir + "/" + cluster.name + "." + stream.kind + ".ndjson",
+                          stream.what, (cluster.name + "-" + stream.kind).c_str(), &manifest,
+                          stream.write)) {
           return 1;
         }
       }
@@ -1359,7 +1140,7 @@ int RunFleet(const Args& args) {
     std::printf("fleet streams written to %s/\n", out_dir.c_str());
   }
 
-  const std::string html_out = args.Get("--html", "");
+  const std::string html_out = cli.Text(kHtml);
   if (!html_out.empty()) {
     // Fleet-wide inputs: concatenated streams (rollup-of-concatenation equals
     // the merged fleet rollup) plus the routing section.
@@ -1399,84 +1180,226 @@ int RunFleet(const Args& args) {
     std::printf("fleet dashboard written to %s\n", html_out.c_str());
   }
 
-  if (!out_dir.empty()) {
-    const std::string manifest_path = out_dir + "/manifest.json";
-    if (!manifest.WriteFile(manifest_path)) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_path.c_str());
-      return 1;
-    }
-    std::printf("manifest written to %s\n", manifest_path.c_str());
-  }
-  return 0;
+  return !out_dir.empty() && !WriteManifest(manifest, out_dir) ? 1 : 0;
 }
 
 // `explain --job ID --spans FILE`: reconstruct one job's causal timeline from
-// the span stream alone. Both inputs are strictly validated — a malformed job
-// id, an unreadable or unparseable stream, or a job with no spans all exit 1
-// with a message naming exactly what was wrong.
-int RunExplain(const Args& args) {
-  if (args.values.count("--job") == 0) {
-    std::fprintf(stderr, "explain requires --job ID\n");
-    return 1;
-  }
-  const std::string job_text = args.Get("--job", "");
-  long job_id = 0;
-  if (!ParseStrictLong(job_text, &job_id) || job_id <= 0) {
-    std::fprintf(stderr,
-                 "--job '%s' is invalid: expected a positive integer job id\n",
-                 job_text.c_str());
-    return 1;
-  }
-  if (args.values.count("--spans") == 0) {
-    std::fprintf(stderr, "explain requires --spans FILE\n");
-    return 1;
-  }
-  const std::string path = args.Get("--spans", "");
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open span stream %s\n", path.c_str());
-    return 1;
-  }
-  std::string error;
-  const std::vector<SpanRecord> spans = SpanLog::ReadNdjson(in, &error);
-  if (!error.empty()) {
-    std::fprintf(stderr, "failed to parse %s: %s\n", path.c_str(),
-                 error.c_str());
+// the span stream alone. An unreadable or unparseable stream, or a job with
+// no spans, exits 1 with a message naming exactly what was wrong.
+int RunExplain(const Cli& cli) {
+  const int64_t job_id = cli.Int(kJob);
+  const std::string path = cli.Text(kSpans);
+  std::vector<SpanRecord> spans;
+  if (!LoadSpans(path, &spans)) {
     return 1;
   }
   const std::string timeline =
       RenderJobExplanation(static_cast<JobId>(job_id), spans);
   if (timeline.empty()) {
-    std::fprintf(stderr, "no spans for job %ld in %s (%zu spans read)\n",
-                 job_id, path.c_str(), spans.size());
+    std::fprintf(stderr, "no spans for job %lld in %s (%zu spans read)\n",
+                 static_cast<long long>(job_id), path.c_str(), spans.size());
     return 1;
   }
   std::printf("%s", timeline.c_str());
   return 0;
 }
 
+// The command table. analyze has one entry per mode, tried in order: the
+// first whose flags[0] is given runs, else the last.
+const std::vector<Command>& Commands() {
+  const auto join = [](std::initializer_list<std::vector<const Flag*>> parts) {
+    std::vector<const Flag*> flags;
+    for (const auto& part : parts) {
+      flags.insert(flags.end(), part.begin(), part.end());
+    }
+    return flags;
+  };
+  const std::vector<const Flag*> run = {&kRetry, &kPrerun, &kMigration, &kDedicated,
+                                        &kStrictLocality, &kFaults, &kCheckpointMins,
+                                        &kCkptPolicy, &kCkptBw, &kCkptSize};
+  const std::vector<const Flag*> sinks = {&kFigures, &kEventsOut, &kMetricsOut, &kTraceOut,
+                                          &kTelemetryOut, &kSpansOut, &kSpansTraceOut, &kHtml};
+  static const std::vector<Command> kCommands = {
+      {"simulate", "run a simulation; write the trace, the requested streams and manifest.json",
+       join({{&kDays, &kSeed, &kScheduler}, run, {&kFormat, &kOut}, sinks}), 0,
+       RunSimulateOrReport},
+      {"report", "run a simulation and print the full analysis, writing no trace",
+       join({{&kDays, &kSeed, &kScheduler}, run, sinks}), 0, RunSimulateOrReport},
+      {"analyze",
+       "verify a telemetry stream against its embedded digest and print Table 3 "
+       "(--trace: also check it against the native trace)",
+       {&kTelemetry, &kTrace}, 1, RunAnalyzeTelemetry},
+      {"analyze",
+       "rebuild Table 6, Figures 2-3 and Table 2 from an event log (--spans: verify "
+       "blame conservation; --trace: cross-check every job against the native trace)",
+       {&kFromEvents, &kTrace, &kSpans}, 1, RunAnalyzeFromEvents},
+      {"analyze", "re-analyze a written trace and print every table",
+       {&kTrace, &kFigures, &kPhillyTraces}, 1, RunAnalyze},
+      {"sweep", "run the schedulers x retry policies x seeds cross product on the "
+                "experiment pool; one summary row per run",
+       join({{&kDays, &kSeeds, &kSchedulers, &kRetries, &kThreads}, run}), 0, RunSweep},
+      {"fleet", "run a multi-cluster fleet behind the front-door job router (docs/fleet.md)",
+       {&kClusters, &kRouter, &kSpillThreshold, &kFleetDays, &kSeed, &kThreads, &kFleetOut,
+        &kHtml, &kCollectSpans},
+       0, RunFleet},
+      {"explain", "print one job's causal timeline, reconstructed from a span stream",
+       {&kJob, &kSpans}, 2, RunExplain},
+  };
+  return kCommands;
+}
+
+// "explain --job ID --spans FILE": the command and its required flags.
+std::string Synopsis(const Command& command) {
+  std::string synopsis(command.name);
+  for (size_t i = 0; i < command.required; ++i) {
+    synopsis += " " + std::string(command.flags[i]->name) + " " +
+                std::string(command.flags[i]->arg);
+  }
+  return synopsis;
+}
+
+// Prints the usage of command `name`, or of every command when it is empty.
+void PrintUsage(std::FILE* out, std::string_view name) {
+  if (name.empty()) {
+    std::fprintf(out, "usage: phillyctl <command> [flags]\n\ncommands:\n");
+    for (const Command& command : Commands()) {
+      std::fprintf(out, "  %s\n      %s\n", Synopsis(command).c_str(),
+                   std::string(command.about).c_str());
+    }
+    std::fprintf(out, "\n`phillyctl <command> --help` lists a command's flags. Exit status: 0 "
+                      "ok; 1 a malformed value, bad input or failed check; 2 a usage error, "
+                      "reported before anything runs.\n");
+    return;
+  }
+  for (const Command& command : Commands()) {
+    if (command.name != name) {
+      continue;
+    }
+    std::fprintf(out, "usage: phillyctl %s%s\n  %s\n", Synopsis(command).c_str(),
+                 command.flags.size() > command.required ? " [flags]" : "",
+                 std::string(command.about).c_str());
+    for (const Flag* flag : command.flags) {
+      std::string left = "  " + std::string(flag->name);
+      if (flag->type != kSwitch) {
+        left += " " + std::string(flag->arg) + (flag->list ? ",..." : "");
+      }
+      std::string help(flag->help);
+      if (flag->type == kInt) {
+        help += " [" + std::to_string(flag->lo) + ", " + std::to_string(flag->hi) + "]";
+      }
+      if (flag->type != kSwitch && !flag->def.empty()) {
+        help += " (default " + std::string(flag->def) + ")";
+      }
+      if (left.size() >= 34) {
+        left += "\n" + std::string(34, ' ');
+      }
+      std::fprintf(out, "%-34s %s\n", left.c_str(), help.c_str());
+    }
+  }
+}
+
+const Flag* FindFlag(const Command& command, std::string_view name) {
+  for (const Flag* flag : command.flags) {
+    if (flag->name == name) {
+      return flag;
+    }
+  }
+  return nullptr;
+}
+
+// A usage error: nothing has run or been written yet.
+[[noreturn]] void UsageError(std::string_view command, const std::string& problem) {
+  std::fprintf(stderr, "phillyctl: %s\n\n", problem.c_str());
+  PrintUsage(stderr, command);
+  std::exit(2);
+}
+
+// Reads argv once against the command table. Exits 0 after printing --help,
+// 2 on a usage error and 1 on a malformed flag value, in each case before any
+// command runs.
+Cli Parse(int argc, char** argv) {
+  const std::string name = argc > 1 ? argv[1] : "";
+  if (name == "--help") {
+    PrintUsage(stdout, "");
+    std::exit(0);
+  }
+  std::vector<const Command*> modes;
+  for (const Command& command : Commands()) {
+    if (command.name == name) {
+      modes.push_back(&command);
+    }
+  }
+  if (modes.empty()) {
+    UsageError("", name.empty() ? "no command given" : "unknown command '" + name + "'");
+  }
+
+  std::map<std::string_view, std::string> given;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help") {
+      PrintUsage(stdout, name);
+      std::exit(0);
+    }
+    const Flag* flag = nullptr;
+    for (const Command* mode : modes) {
+      flag = flag != nullptr ? flag : FindFlag(*mode, arg);
+    }
+    if (flag == nullptr) {
+      UsageError(name, (StartsWith(arg, "-") ? "unknown flag " : "unexpected argument ") +
+                             ("'" + arg + "'"));
+    }
+    if (given.count(flag->name) > 0) {
+      UsageError(name, arg + " given twice");
+    }
+    if (flag->type == kSwitch) {
+      given[flag->name] = "on";
+    } else if (i + 1 == argc || StartsWith(argv[i + 1], "--")) {
+      UsageError(name, arg + " needs a value");
+    } else {
+      given[flag->name] = argv[++i];
+    }
+  }
+
+  const Command* command = modes.back();
+  for (const Command* mode : modes) {
+    if (mode->required == 0 || given.count(mode->flags[0]->name) > 0) {
+      command = mode;
+      break;
+    }
+  }
+  for (size_t i = 0; i < command->required; ++i) {
+    if (given.count(command->flags[i]->name) == 0) {
+      UsageError(name, "missing " + std::string(command->flags[i]->name));
+    }
+  }
+  for (const auto& [flag_name, text] : given) {
+    if (FindFlag(*command, flag_name) == nullptr) {
+      UsageError(name, std::string(flag_name) + " does not apply to `" + Synopsis(*command) + "`");
+    }
+  }
+  for (const Flag* flag : command->flags) {
+    const auto it = given.find(flag->name);
+    if (it == given.end() || flag->type == kSwitch) {
+      continue;
+    }
+    const std::vector<std::string_view> items =
+        flag->list ? Split(it->second, ',') : std::vector<std::string_view>{it->second};
+    for (const std::string_view item : items) {
+      if (!ValidValue(*flag, item)) {
+        std::fprintf(stderr, "%s '%s' is invalid: expected %s\n",
+                     std::string(flag->name).c_str(), it->second.c_str(),
+                     Expected(*flag).c_str());
+        std::exit(1);
+      }
+    }
+  }
+  return Cli(*command, std::move(given));
+}
+
 }  // namespace
 }  // namespace philly
 
 int main(int argc, char** argv) {
-  const philly::Args args = philly::Parse(argc, argv);
-  if (args.command == "simulate") {
-    return philly::RunSimulateOrReport(args, /*write_output=*/true);
-  }
-  if (args.command == "report") {
-    return philly::RunSimulateOrReport(args, /*write_output=*/false);
-  }
-  if (args.command == "analyze") {
-    return philly::RunAnalyze(args);
-  }
-  if (args.command == "sweep") {
-    return philly::RunSweep(args);
-  }
-  if (args.command == "fleet") {
-    return philly::RunFleet(args);
-  }
-  if (args.command == "explain") {
-    return philly::RunExplain(args);
-  }
-  return philly::Usage();
+  const philly::Cli cli = philly::Parse(argc, argv);
+  return cli.command().run(cli);
 }
